@@ -464,7 +464,7 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 		i  int
 		k  runKey
 		w  wire.Spec
-		dk string // persistent-store key hash, computed off-lock below
+		dk string // persistent-store key hash: planned, or computed off-lock below
 		r  RunResult
 		ok bool // r was replayed from the store
 	}
@@ -472,27 +472,29 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 	seen := make(map[runKey]bool)
 	e.mu.Lock()
 	for i, k := range keys {
-		if _, ok := e.planned[k]; !ok {
+		dk, ok := e.planned[k]
+		if !ok {
 			e.planned[k] = ""
 		}
 		if _, hit := e.cache[k]; hit || seen[k] {
 			continue
 		}
 		seen[k] = true
-		cands = append(cands, candidate{i: i, k: k})
+		cands = append(cands, candidate{i: i, k: k, dk: dk})
 	}
 	e.mu.Unlock()
 
 	// Plan, phase 2: render each candidate's wire form (the backend
-	// contract), hash it where needed (the hash names the run in records,
-	// keys the store, and assigns shards) and consult the persistent
-	// store — all outside e.mu, so neither the marshal+SHA-256 nor the
-	// store's own lock extends the executor's critical section.
+	// contract), hash it where needed and not already planned (the hash
+	// names the run in records, keys the store, and assigns shards) and
+	// consult the persistent store — all outside e.mu, so neither the
+	// marshal+SHA-256 nor the store's own lock extends the executor's
+	// critical section.
 	hashKeys := e.store != nil || e.record != nil || e.shardN > 1 ||
 		e.journal != nil || len(e.primed) > 0
 	for c := range cands {
 		cands[c].w = specToWire(specs[cands[c].i])
-		if hashKeys {
+		if hashKeys && cands[c].dk == "" {
 			cands[c].dk = cands[c].w.Key()
 		}
 		cands[c].r, cands[c].ok = e.decodeStored(cands[c].dk)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -307,6 +308,93 @@ func TestExecutorShardSkipsAreZero(t *testing.T) {
 	}
 	if zeros != e.Skipped() {
 		t.Fatalf("%d zero results for %d skipped cells", zeros, e.Skipped())
+	}
+}
+
+// echoBackend answers every spec with a fixed non-zero result without
+// simulating: tests of key bookkeeping need resolved cells, not results.
+type echoBackend struct{}
+
+func (echoBackend) Run(context.Context, wire.Spec) (RunResult, error) {
+	return RunResult{Cycles: 1}, nil
+}
+
+// keySpecs is a grid of distinct specs large enough for both halves of
+// a two-way shard to own cells.
+func keySpecs() []runSpec {
+	var specs []runSpec
+	for _, pair := range workload.SingleCorePairs() {
+		for _, opts := range []core.Options{baselineOpts(), figure1CF()} {
+			specs = append(specs, withScale(singleSpec(opts, pair, 300_000), microScale()))
+		}
+	}
+	return specs
+}
+
+// recordedKeys runs specs through a fresh echo-backed executor, shard
+// i of n, planned by planner unless it is nil, and returns the sorted
+// RunRecord keys of the cells it resolved.
+func recordedKeys(t *testing.T, specs []runSpec, planner *Executor, i, n int) []string {
+	t.Helper()
+	e := NewExecutorWith(1, echoBackend{})
+	if n > 1 {
+		e.SetShard(i, n)
+	}
+	var keys []string
+	e.SetRecord(func(rec RunRecord) { keys = append(keys, rec.Key) })
+	if planner != nil {
+		e.Plan(planner)
+	}
+	e.RunBatch(specs)
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestPlannedRecordKeysMatchPlanner: an executor planned from a planner
+// reuses the planner's wire keys, so its RunRecord keys are exactly the
+// planner's PlannedKeys — and equal to the keys an unplanned executor
+// computes itself.
+func TestPlannedRecordKeysMatchPlanner(t *testing.T) {
+	specs := keySpecs()
+	planner := NewPlanner()
+	planner.RunBatch(specs)
+	want := planner.PlannedKeys()
+	if len(want) != len(specs) {
+		t.Fatalf("planner holds %d keys for %d distinct specs", len(want), len(specs))
+	}
+	if got := recordedKeys(t, specs, planner, 0, 1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("planned executor recorded keys %v, want the planner's %v", got, want)
+	}
+	if got := recordedKeys(t, specs, nil, 0, 1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("unplanned executor recorded keys %v, want the planner's %v", got, want)
+	}
+}
+
+// TestShardPartitionIndependentOfPlan: SetShard assigns every cell to
+// the same shard whether the executor hashed the key itself or reused
+// the planner's, and the two shards partition the grid.
+func TestShardPartitionIndependentOfPlan(t *testing.T) {
+	specs := keySpecs()
+	planner := NewPlanner()
+	planner.RunBatch(specs)
+	var union []string
+	for i := 0; i < 2; i++ {
+		planned := recordedKeys(t, specs, planner, i, 2)
+		unplanned := recordedKeys(t, specs, nil, i, 2)
+		if !reflect.DeepEqual(planned, unplanned) {
+			t.Fatalf("shard %d/2 owns %v with a plan, %v without", i, planned, unplanned)
+		}
+		if len(planned) == 0 {
+			t.Fatalf("shard %d/2 owns none of %d cells", i, len(specs))
+		}
+		union = append(union, planned...)
+	}
+	sort.Strings(union)
+	if want := planner.PlannedKeys(); !reflect.DeepEqual(union, want) {
+		t.Fatalf("shards own %v, want exactly the grid %v", union, want)
 	}
 }
 

@@ -2,23 +2,26 @@ package runcache
 
 import (
 	"bytes"
-	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 )
 
 // FuzzOpenEntry feeds arbitrary bytes to the store's entry loader: a
 // cache directory is shared, crash-prone state, so any on-disk file —
-// torn, truncated, tampered, or from a foreign tool — must either load
-// as a valid entry or be quarantined. Open must never panic and never
-// trust a file whose recorded schema or key disagrees with its
-// location.
+// torn, truncated, tampered, from an older entry format, or from a
+// foreign tool — must either load as a valid entry or be quarantined.
+// Open must never panic and never trust a file whose header disagrees
+// with its location or whose value fails its checksum.
 func FuzzOpenEntry(f *testing.F) {
 	const schema = "fuzz-schema-v1"
 	const key = "00deadbeef"
-	good, _ := json.Marshal(entry{Schema: schema, Key: key, Value: json.RawMessage(`{"x":1}`)})
-	f.Add(good)
+	f.Add(encodeEntry(schemaID(schema), key, []byte(`{"x":1}`)))
+	// Format-2 JSON envelopes, once valid, must now all quarantine.
+	f.Add([]byte(`{"schema":"fuzz-schema-v1","key":"00deadbeef","crc":` +
+		strconv.FormatUint(uint64(crc32.ChecksumIEEE([]byte(`{"x":1}`))), 10) + `,"value":{"x":1}}`))
 	f.Add([]byte(``))
 	f.Add([]byte(`{`))
 	f.Add([]byte(`{"schema":"fuzz-schema-v1","key":"wrong","value":{}}`))
@@ -26,11 +29,12 @@ func FuzzOpenEntry(f *testing.F) {
 	f.Add([]byte(`{"schema":"fuzz-schema-v1","key":"00deadbeef","value":null}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dir := t.TempDir()
-		sub := filepath.Join(dir, schemaID(schema))
+		id := schemaID(schema)
+		sub := filepath.Join(dir, id)
 		if err := os.MkdirAll(sub, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(sub, key+".json")
+		path := filepath.Join(sub, key+entrySuffix)
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -43,15 +47,20 @@ func FuzzOpenEntry(f *testing.F) {
 			t.Fatalf("entry neither loaded nor quarantined: %+v", st)
 		}
 		if st.Loaded == 1 {
-			// A loaded entry must be exactly the recorded value, and the
-			// file must re-parse as the entry it claimed to be.
-			var e entry
-			if json.Unmarshal(raw, &e) != nil || e.Schema != schema || e.Key != key {
-				t.Fatal("loader accepted an entry the strict parse rejects")
+			// A loaded entry's header names this schema's ID and the
+			// file's key with the CRC of what follows it, and Get returns
+			// exactly the bytes after the header.
+			prefix := []byte(entryMagic + " " + id + " " + key + " ")
+			if !bytes.HasPrefix(raw, prefix) || len(raw) < len(prefix)+crcDigits+1 {
+				t.Fatalf("loader accepted a file without this schema's and key's header: %q", raw)
+			}
+			value := raw[len(prefix)+crcDigits+1:]
+			if want := encodeEntry(id, key, value); !bytes.Equal(raw, want) {
+				t.Fatalf("loader accepted %q; the canonical entry for its value is %q", raw, want)
 			}
 			got, ok := s.Get(key)
-			if !ok || !bytes.Equal(got, e.Value) {
-				t.Fatalf("loaded value mismatch: got %q want %q", got, e.Value)
+			if !ok || !bytes.Equal(got, value) {
+				t.Fatalf("loaded value mismatch: got %q want %q", got, value)
 			}
 		} else {
 			// Quarantine renames aside; the original name must be gone and

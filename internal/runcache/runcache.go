@@ -15,18 +15,20 @@
 //     invalidated by construction and can never alias a current key.
 //   - All entries load at Open; Get and Put are memory-speed afterward
 //     (Put additionally writes through to disk).
-//   - Files that fail to parse, whose recorded schema or key does not
-//     match, or whose value fails its CRC-32 checksum, are quarantined
-//     (renamed with a ".corrupt" suffix) rather than trusted or deleted.
-//     The checksum catches silent corruption that still parses as JSON —
-//     a flipped bit inside a number would otherwise replay a wrong
-//     result forever.
+//   - Each file is one header line naming the schema ID, the key and
+//     the CRC-32 of the value, followed by the raw value bytes. Files
+//     whose header is malformed or names another schema or key, or
+//     whose value fails its checksum, are quarantined (renamed with a
+//     ".corrupt" suffix) rather than trusted or deleted. The header is
+//     compared byte for byte, so no single flipped bit anywhere in a
+//     file can load.
 package runcache
 
 import (
 	"crypto/sha256"
+	"encoding"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -46,13 +48,13 @@ type Stats struct {
 	PutErrors   int // writes that failed (entry kept in memory only)
 }
 
-// Store is an on-disk map from key hash to an opaque JSON value, with an
-// in-memory mirror loaded at Open. Safe for concurrent use within a
+// Store is an on-disk map from key hash to an opaque byte value, with
+// an in-memory mirror loaded at Open. Safe for concurrent use within a
 // process; safe to share a directory across processes.
 type Store struct {
-	root   string // user-supplied cache directory
-	dir    string // per-schema subdirectory actually holding entries
-	schema string
+	dir   string // per-schema subdirectory actually holding entries
+	id    string // schemaID of the store's schema, recorded in every entry header
+	keyer Keyer
 
 	// fault, when set, intercepts entry bytes on their way to disk —
 	// the chaos layer's corruption/ENOSPC seam. Never touches the
@@ -60,7 +62,7 @@ type Store struct {
 	fault FileFault
 
 	mu      sync.Mutex
-	entries map[string]json.RawMessage
+	entries map[string][]byte
 	stats   Stats
 }
 
@@ -76,19 +78,84 @@ type FileFault interface {
 // entryFormat versions the on-disk entry file format. It is folded
 // into schemaID, so bumping it supersedes every directory written
 // under the old format — Open starts them empty and `-cache-gc` sweeps
-// them, exactly like a schema change. Format 2 added the CRC field.
-const entryFormat = 2
+// them, exactly like a schema change. Format 2 added the CRC field;
+// format 3 replaced the JSON envelope with a header line.
+const entryFormat = 3
 
-// entry is the on-disk file format. Schema and Key are recorded
-// redundantly (the subdirectory and filename imply them) so a misplaced
-// or tampered file is detected and quarantined at load; CRC is the
-// IEEE CRC-32 of Value, verified at load so silent corruption that
-// still parses as JSON cannot replay as a wrong result.
-type entry struct {
-	Schema string          `json:"schema"`
-	Key    string          `json:"key"`
-	CRC    uint32          `json:"crc"`
-	Value  json.RawMessage `json:"value"`
+// An entry file, named <key>.entry, is one header line followed by the
+// raw value bytes:
+//
+//	xorbp-runcache <schemaID> <key> <crc32>\n<value>
+//
+// The schema ID and key are recorded redundantly (the subdirectory and
+// filename imply them) so a misplaced or tampered file is detected and
+// quarantined at load; the CRC is the IEEE CRC-32 of the value as
+// exactly crcDigits lowercase hex digits, verified at load so silent
+// corruption cannot replay as a wrong result. The header names the
+// schema by its short ID, not its full (kilobyte-long) signature.
+const (
+	entryMagic  = "xorbp-runcache"
+	entrySuffix = ".entry"
+	crcDigits   = 8
+)
+
+// encodeEntry renders the file bytes of one entry.
+func encodeEntry(id, key string, value []byte) []byte {
+	raw := make([]byte, 0, len(entryMagic)+len(id)+len(key)+crcDigits+4+len(value))
+	raw = append(raw, entryMagic...)
+	raw = append(raw, ' ')
+	raw = append(raw, id...)
+	raw = append(raw, ' ')
+	raw = append(raw, key...)
+	raw = append(raw, ' ')
+	var crc [4]byte
+	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(value))
+	raw = hex.AppendEncode(raw, crc[:])
+	raw = append(raw, '\n')
+	return append(raw, value...)
+}
+
+// parseEntry returns the value of an entry file whose header names
+// schema ID id and key exactly and whose CRC matches the value. Any
+// other byte string — a malformed header, another schema or key, a
+// CRC that is not exactly crcDigits lowercase hex digits or does not
+// match — is rejected. The value aliases raw.
+func parseEntry(raw []byte, id, key string) ([]byte, bool) {
+	rest, ok := cutField(raw, entryMagic)
+	if ok {
+		rest, ok = cutField(rest, id)
+	}
+	if ok {
+		rest, ok = cutField(rest, key)
+	}
+	if !ok || len(rest) <= crcDigits || rest[crcDigits] != '\n' {
+		return nil, false
+	}
+	var crc uint32
+	for _, c := range rest[:crcDigits] {
+		switch {
+		case '0' <= c && c <= '9':
+			crc = crc<<4 | uint32(c-'0')
+		case 'a' <= c && c <= 'f':
+			crc = crc<<4 | uint32(c-'a'+10)
+		default:
+			return nil, false
+		}
+	}
+	value := rest[crcDigits+1:]
+	if crc != crc32.ChecksumIEEE(value) {
+		return nil, false
+	}
+	return value, true
+}
+
+// cutField strips field and the space that follows it from the front
+// of b, reporting whether both were there.
+func cutField(b []byte, field string) ([]byte, bool) {
+	if len(b) <= len(field) || string(b[:len(field)]) != field || b[len(field)] != ' ' {
+		return nil, false
+	}
+	return b[len(field)+1:], true
 }
 
 // DefaultDir returns the conventional cache directory shared by the
@@ -113,6 +180,40 @@ func Key(schema string, payload []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// Keyer derives Key(schema, payload) for one fixed schema from a
+// SHA-256 midstate taken after the schema prefix, so the (often
+// kilobyte-long) schema is hashed once rather than once per key. The
+// keys are byte-identical to Key's. A Keyer is immutable and safe for
+// concurrent use.
+type Keyer struct {
+	state []byte // marshalled SHA-256 state after schema and its separator
+}
+
+// NewKeyer returns the Keyer for schema.
+func NewKeyer(schema string) Keyer {
+	h := sha256.New()
+	h.Write([]byte(schema))
+	h.Write([]byte{0})
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		// crypto/sha256 always marshals its own state.
+		panic(fmt.Sprintf("runcache: saving SHA-256 state: %v", err))
+	}
+	return Keyer{state: state}
+}
+
+// Key returns Key(schema, payload) for the Keyer's schema.
+func (k Keyer) Key(payload []byte) string {
+	h := sha256.New()
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(k.state); err != nil {
+		// The state came from NewKeyer; only a zero Keyer fails here.
+		panic(fmt.Sprintf("runcache: restoring SHA-256 state: %v", err))
+	}
+	h.Write(payload)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
+}
+
 // schemaID is the directory-name-safe digest of a schema string (the
 // full string can be hundreds of characters of type signature). The
 // entry file format version is folded in, so an entry-format change
@@ -128,25 +229,27 @@ func schemaID(schema string) string {
 // under dir. Entries written under other schema versions are left
 // untouched in their own subdirectories.
 func Open(dir, schema string) (*Store, error) {
-	sub := filepath.Join(dir, schemaID(schema))
+	id := schemaID(schema)
+	sub := filepath.Join(dir, id)
 	if err := os.MkdirAll(sub, 0o755); err != nil {
 		return nil, fmt.Errorf("runcache: %w", err)
-	}
-	s := &Store{
-		root:    dir,
-		dir:     sub,
-		schema:  schema,
-		entries: make(map[string]json.RawMessage),
 	}
 	names, err := os.ReadDir(sub)
 	if err != nil {
 		return nil, fmt.Errorf("runcache: %w", err)
 	}
+	s := &Store{
+		dir:     sub,
+		id:      id,
+		keyer:   NewKeyer(schema),
+		entries: make(map[string][]byte, len(names)),
+	}
 	for _, de := range names {
 		name := de.Name()
 		// Skip in-progress writes from concurrent processes and anything
 		// already quarantined.
-		if de.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasPrefix(name, ".") {
+		key, isEntry := strings.CutSuffix(name, entrySuffix)
+		if de.IsDir() || !isEntry || strings.HasPrefix(name, ".") {
 			continue
 		}
 		path := filepath.Join(sub, name)
@@ -154,14 +257,12 @@ func Open(dir, schema string) (*Store, error) {
 		if err != nil {
 			continue // racing writer or permissions; neither is corruption
 		}
-		var e entry
-		key := strings.TrimSuffix(name, ".json")
-		if json.Unmarshal(raw, &e) != nil || e.Schema != schema || e.Key != key || len(e.Value) == 0 ||
-			e.CRC != crc32.ChecksumIEEE(e.Value) {
+		value, ok := parseEntry(raw, id, key)
+		if !ok {
 			s.quarantine(path)
 			continue
 		}
-		s.entries[key] = e.Value
+		s.entries[key] = value
 		s.stats.Loaded++
 	}
 	return s, nil
@@ -204,13 +305,9 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // write fails — the caller already paid for the result — and the failure
 // is reported and counted.
 func (s *Store) Put(key string, value []byte) error {
-	raw, err := json.Marshal(entry{Schema: s.schema, Key: key,
-		CRC: crc32.ChecksumIEEE(value), Value: value})
-	if err != nil {
-		return fmt.Errorf("runcache: %w", err)
-	}
+	raw := encodeEntry(s.id, key, value)
 	s.mu.Lock()
-	s.entries[key] = json.RawMessage(value)
+	s.entries[key] = value
 	s.stats.Puts++
 	s.mu.Unlock()
 	if err := s.writeFile(key, raw); err != nil {
@@ -246,42 +343,24 @@ func (s *Store) writeFile(key string, raw []byte) error {
 		_ = os.Remove(tmp.Name())
 		return fmt.Errorf("runcache: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, key+".json")); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, key+entrySuffix)); err != nil {
 		_ = os.Remove(tmp.Name())
 		return fmt.Errorf("runcache: %w", err)
 	}
 	return nil
 }
 
-// PutBinary stores an opaque binary payload under key. The value is the
-// payload's JSON base64 encoding, so binary entries (e.g. simulator
-// snapshots) ride the same on-disk entry format — and the same
-// quarantine rules — as JSON results.
-func (s *Store) PutBinary(key string, data []byte) error {
-	v, err := json.Marshal(data)
-	if err != nil {
-		return fmt.Errorf("runcache: %w", err)
-	}
-	return s.Put(key, v)
-}
+// PutBinary stores an opaque binary payload under key. Entry values
+// are raw bytes, so a binary payload (e.g. a simulator snapshot) is
+// stored as is, under the same header, checksum and quarantine rules
+// as a result.
+func (s *Store) PutBinary(key string, data []byte) error { return s.Put(key, data) }
 
 // GetBinary returns the binary payload stored under key via PutBinary.
-// An entry whose value does not decode as a base64 string is treated as
-// a miss, exactly like an undecodable result entry.
-func (s *Store) GetBinary(key string) ([]byte, bool) {
-	raw, ok := s.Get(key)
-	if !ok {
-		return nil, false
-	}
-	var data []byte
-	if json.Unmarshal(raw, &data) != nil {
-		return nil, false
-	}
-	return data, true
-}
+func (s *Store) GetBinary(key string) ([]byte, bool) { return s.Get(key) }
 
 // Key derives the store key for a payload under this store's schema.
-func (s *Store) Key(payload []byte) string { return Key(s.schema, payload) }
+func (s *Store) Key(payload []byte) string { return s.keyer.Key(payload) }
 
 // Len returns the number of entries currently loaded.
 func (s *Store) Len() int {

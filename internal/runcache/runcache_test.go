@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -85,18 +86,18 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 	if err := s.Put(good, []byte(`1`)); err != nil {
 		t.Fatal(err)
 	}
-	// Three corruption shapes: unparseable bytes, a parseable entry
+	// Three corruption shapes: unparseable bytes, a well-formed entry
 	// recorded under the wrong schema, and a file whose name disagrees
 	// with its recorded key.
-	writeRaw := func(name, content string) {
+	writeRaw := func(name string, content []byte) {
 		t.Helper()
-		if err := os.WriteFile(filepath.Join(s.Dir(), name), []byte(content), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(s.Dir(), name), content, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	writeRaw("feedfeed.json", "not json at all")
-	writeRaw("deadbeef.json", `{"schema":"schema-z","key":"deadbeef","value":1}`)
-	writeRaw("cafecafe.json", `{"schema":"schema-a","key":"somethingelse","value":1}`)
+	writeRaw("feedfeed.entry", []byte("not an entry at all"))
+	writeRaw("deadbeef.entry", encodeEntry(schemaID("schema-z"), "deadbeef", []byte(`1`)))
+	writeRaw("cafecafe.entry", encodeEntry(schemaID("schema-a"), "somethingelse", []byte(`1`)))
 
 	s2, err := Open(dir, "schema-a")
 	if err != nil {
@@ -169,7 +170,7 @@ func TestConcurrentStores(t *testing.T) {
 }
 
 // TestCRCMismatchQuarantined: an entry whose value was altered on disk
-// but still parses as valid JSON under the right schema and key — the
+// under an intact header naming the right schema and key — the
 // silent-corruption case only the checksum can catch — is quarantined
 // at the next Open instead of replaying as a wrong result.
 func TestCRCMismatchQuarantined(t *testing.T) {
@@ -183,8 +184,8 @@ func TestCRCMismatchQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rewrite the file with a different value under the stale CRC:
-	// schema, key, and JSON shape all stay valid.
-	path := filepath.Join(s.Dir(), key+".json")
+	// the header and the value's JSON shape all stay valid.
+	path := filepath.Join(s.Dir(), key+entrySuffix)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +211,7 @@ func TestCRCMismatchQuarantined(t *testing.T) {
 }
 
 // TestBinaryEntriesChecksummed: PutBinary blobs ride the same entry
-// format, so they round-trip across Opens and corrupting one on disk
+// format as raw bytes, so they round-trip across Opens and corrupting one on disk
 // quarantines it like any result entry.
 func TestBinaryEntriesChecksummed(t *testing.T) {
 	dir := t.TempDir()
@@ -232,18 +233,17 @@ func TestBinaryEntriesChecksummed(t *testing.T) {
 		t.Fatalf("GetBinary = %v, %v", got, ok)
 	}
 
-	// Swap the base64 payload for a different valid one under the stale
-	// CRC; the checksum, not the decoder, must reject it.
-	path := filepath.Join(s.Dir(), key+".json")
+	// Swap the payload's last byte under the stale CRC; the checksum
+	// must reject it.
+	path := filepath.Join(s.Dir(), key+entrySuffix)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := `"AAH+/0I="`
-	if !strings.Contains(string(raw), old) {
-		t.Fatalf("entry %q does not contain the expected base64 value", raw)
+	if !strings.HasSuffix(string(raw), string(blob)) {
+		t.Fatalf("entry %q does not end with the expected payload", raw)
 	}
-	tampered := strings.Replace(string(raw), old, `"AAH+/0M="`, 1)
+	tampered := string(raw[:len(raw)-1]) + "\x43"
 	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -333,6 +333,105 @@ func TestFileFaultCorruptionCaught(t *testing.T) {
 	if s2.Len() != 0 || s2.Stats().Quarantined != 1 {
 		t.Fatalf("reopened store: %d entries, stats %+v; want the corrupt entry quarantined",
 			s2.Len(), s2.Stats())
+	}
+}
+
+// TestEveryBitFlipQuarantined flips each bit of a stored result entry
+// and of a PutBinary entry in turn: every flip, in the header or the
+// value, must be quarantined at the next Open — chaosbench's reopen
+// check counts on exactly the corrupted entries being swept.
+func TestEveryBitFlipQuarantined(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		put  func(s *Store, key string) error
+	}{
+		{"result", func(s *Store, key string) error {
+			return s.Put(key, []byte(`{"schema":"x","cycles":42,"mpki":1.5}`))
+		}},
+		{"binary", func(s *Store, key string) error {
+			return s.PutBinary(key, []byte{0x00, 0x01, 0xFE, 0xFF, 0x42, '\n', ' '})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, "schema-a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := s.Key([]byte(tc.name))
+			if err := tc.put(s, key); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(s.Dir(), key+entrySuffix)
+			good, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for bit := 0; bit < len(good)*8; bit++ {
+				bad := append([]byte(nil), good...)
+				bad[bit/8] ^= 1 << (bit % 8)
+				if err := os.WriteFile(path, bad, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				s2, err := Open(dir, "schema-a")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st := s2.Stats(); st.Quarantined != 1 || st.Loaded != 0 {
+					t.Fatalf("flipping bit %d of %q: stats %+v, want the entry quarantined", bit, good, st)
+				}
+				if err := os.Remove(path + ".corrupt"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestKeyerGolden pins Keyer and Key to independently computed SHA-256
+// values: the midstate path must not move any cache, journal or shard
+// key.
+func TestKeyerGolden(t *testing.T) {
+	long := "xorbp-run/epoch9/" + strings.Repeat("x", 200) // spans several SHA-256 blocks
+	for _, tc := range []struct {
+		schema, payload, want string
+	}{
+		{"s", "p", "32ce7a236be302a7a6630f50b2fff5cfe504bf3ce9954c6ca59a1ee9cca9bdc4"},
+		{"schema-a", "", "1ace7d6446b5e89c66767b7c7c01b0be960a43c3a753765163c236c8169eaead"},
+		{long, `{"kind":"","pred":"tage"}`, "c2c157852d49e7820df58e096bdc294c39b1462e48e0f83c6a7c4eeccb90932c"},
+	} {
+		if got := Key(tc.schema, []byte(tc.payload)); got != tc.want {
+			t.Errorf("Key(%.20q, %q) = %s, want %s", tc.schema, tc.payload, got, tc.want)
+		}
+		k := NewKeyer(tc.schema)
+		for i := 0; i < 2; i++ { // reuse must not disturb the saved state
+			if got := k.Key([]byte(tc.payload)); got != tc.want {
+				t.Errorf("NewKeyer(%.20q).Key(%q) = %s, want %s", tc.schema, tc.payload, got, tc.want)
+			}
+		}
+	}
+}
+
+// BenchmarkOpen loads a directory of 648 entries the size of real
+// results — the evaluation grid a warm bpsim pass reopens.
+func BenchmarkOpen(b *testing.B) {
+	dir := b.TempDir()
+	s, err := Open(dir, "bench-schema")
+	if err != nil {
+		b.Fatal(err)
+	}
+	value := []byte(`{"cycles":1234567,"instructions":1000000,"cond_branches":180000,"mispredicts":` +
+		strings.Repeat(`1234,`, 80) + `0}`)
+	for i := 0; i < 648; i++ {
+		if err := s.Put(s.Key([]byte(strconv.Itoa(i))), value); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for b.Loop() {
+		st, err := Open(dir, "bench-schema")
+		if err != nil || st.Len() != 648 {
+			b.Fatalf("Open: %d entries, %v", st.Len(), err)
+		}
 	}
 }
 

@@ -261,8 +261,12 @@ func DecodeSpec(b []byte) (Spec, error) {
 // on the schema derives the same key for the same spec — the property
 // that lets local runs, remote workers and warm caches interoperate.
 func (s Spec) Key() string {
-	return runcache.Key(schemaVersion, s.Encode())
+	return specKeyer.Key(s.Encode())
 }
+
+// specKeyer derives runcache.Key(schemaVersion, ·) with the schema
+// prefix hashed once, at package initialization.
+var specKeyer = runcache.NewKeyer(schemaVersion)
 
 // Encode renders the canonical byte form of the result.
 func (r Result) Encode() []byte {

@@ -11,6 +11,7 @@ import (
 
 	"xorbp/internal/core"
 	"xorbp/internal/cpu"
+	"xorbp/internal/runcache"
 )
 
 // -update-golden regenerates testdata/ from the current encoding. Run
@@ -134,6 +135,27 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 	if a.Key() != b.Key() {
 		t.Fatal("equal specs keyed differently")
+	}
+}
+
+// TestKeyMatchesRuncacheKey: the package keyer's midstate path derives
+// exactly runcache.Key over the schema version and canonical encoding,
+// for both spec kinds, so no cache, journal or shard key moves.
+func TestKeyMatchesRuncacheKey(t *testing.T) {
+	for _, s := range []Spec{goldenSpec(), goldenAttackSpec(), {}} {
+		if got, want := s.Key(), runcache.Key(SchemaVersion(), s.Encode()); got != want {
+			t.Errorf("Key() = %s, want runcache.Key = %s for %s", got, want, s.Encode())
+		}
+	}
+}
+
+// BenchmarkSpecKey times one cell's wire key: canonical encoding plus
+// SHA-256 from the schema midstate.
+func BenchmarkSpecKey(b *testing.B) {
+	s := goldenSpec()
+	b.ReportAllocs()
+	for b.Loop() {
+		s.Key()
 	}
 }
 
