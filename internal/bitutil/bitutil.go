@@ -390,10 +390,13 @@ func FoldLane(fs []Folded, in uint64, outs []uint64) {
 	}
 	for i := range fs {
 		f := &fs[i]
+		// compLen <= 63 and outPoint < compLen (NewFolded), so masking
+		// the shift counts with 63 changes no result; it lets the
+		// compiler emit bare shifts without the oversized-count fix-ups.
 		c := (f.comp << 1) | in
-		c ^= outs[i] << f.outPoint
-		c ^= c >> f.compLen
-		f.comp = c & (1<<f.compLen - 1)
+		c ^= outs[i] << (f.outPoint & 63)
+		c ^= c >> (f.compLen & 63)
+		f.comp = c & (1<<(f.compLen&63) - 1)
 	}
 }
 

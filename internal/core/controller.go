@@ -247,11 +247,12 @@ func (g *Guard) IndexKey(d Domain) Key {
 	return g.keys.index[d.Thread][d.Priv] ^ Key(g.salt)
 }
 
-// The guard accessors below are split into an inlinable pass-through
-// check plus an out-of-line encoded path: the pass-through case (the
-// baseline and the flush mechanisms, i.e. every Figure 1-class cell)
-// must cost a predicted branch, not a function call, because these sit
-// inside every predictor table access.
+// Encode and Decode (the whole-value codec of the BTB and the RAS) are
+// split into an inlinable pass-through check plus an out-of-line encoded
+// path: the pass-through case (the baseline and the flush mechanisms,
+// i.e. every Figure 1-class cell) costs a predicted branch, not a
+// function call. Word-granularity tables use WordKeys and the keyed codec
+// below instead, whose pass-through and XOR cases inline completely.
 
 // Encode applies the content codec (identity when out of scope).
 //
@@ -289,42 +290,83 @@ func (g *Guard) decodeEnc(v uint64, d Domain) uint64 {
 	return g.ctrl.opts.Codec.Decode(v, k)
 }
 
-// EncodeWord encodes v with a word-indexed key derived from the domain
-// key: the Enhanced-XOR-PHT schedule ("different logical entries nearby in
-// the PHT can use different keys", §5.2). Identity when out of scope.
+// WordKeys is one domain's content-key schedule over the words of one
+// table: the Enhanced-XOR-PHT schedule ("different logical entries nearby
+// in the PHT can use different keys", §5.2) derives each word's key from
+// the domain key and the word index; without it every word uses the
+// domain key. The zero value is the pass-through schedule (every word key
+// is 0). A WordKeys is resolved once per access (Guard.WordKeys) and then
+// applied per word, so a table read costs one load, one XOR with the
+// word key and a shift and mask.
+type WordKeys struct {
+	base     uint64
+	enhanced bool
+}
+
+// Word returns the key of physical word word.
+//
+//bpvet:hotpath
+func (k WordKeys) Word(word uint64) uint64 {
+	if !k.enhanced {
+		return k.base
+	}
+	return rng.Mix64(k.base + word*0x9e3779b97f4a7c15)
+}
+
+// WordKeys returns domain d's word-key schedule for this structure: the
+// pass-through schedule when content encoding does not apply.
+//
+//bpvet:hotpath
+func (g *Guard) WordKeys(d Domain) WordKeys {
+	if !g.encode {
+		return WordKeys{}
+	}
+	return WordKeys{base: uint64(g.keys.content[d.Thread][d.Priv]) ^ g.salt, enhanced: g.enhanced}
+}
+
+// XORWords reports whether this structure's words are stored as the plain
+// value XOR the WordKeys word key: true for pass-through guards (key 0)
+// and for the XOR codec. Storage primitives use it to pick the inlinable
+// read path; every other codec goes through DecodeKeyed/EncodeKeyed.
+//
+//bpvet:hotpath
+func (g *Guard) XORWords() bool { return !g.encode || g.codecXOR }
+
+// EncodeKeyed applies the content codec to a word with a word key already
+// drawn from WordKeys, so a read-modify-write derives its key once and
+// uses it to both decode and encode.
+//
+//bpvet:hotpath
+func (g *Guard) EncodeKeyed(v, k uint64) uint64 {
+	if g.XORWords() {
+		return v ^ k
+	}
+	return g.ctrl.opts.Codec.Encode(v, Key(k))
+}
+
+// DecodeKeyed inverts EncodeKeyed.
+//
+//bpvet:hotpath
+func (g *Guard) DecodeKeyed(v, k uint64) uint64 {
+	if g.XORWords() {
+		return v ^ k
+	}
+	return g.ctrl.opts.Codec.Decode(v, Key(k))
+}
+
+// EncodeWord encodes v with the word-indexed key of word under domain d
+// (see WordKeys). Identity when out of scope.
 //
 //bpvet:hotpath
 func (g *Guard) EncodeWord(v uint64, d Domain, word uint64) uint64 {
-	if !g.encode {
-		return v
-	}
-	k := g.wordKey(d, word)
-	if g.codecXOR {
-		return v ^ uint64(k)
-	}
-	return g.ctrl.opts.Codec.Encode(v, k)
+	return g.EncodeKeyed(v, g.WordKeys(d).Word(word))
 }
 
 // DecodeWord inverts EncodeWord.
 //
 //bpvet:hotpath
 func (g *Guard) DecodeWord(v uint64, d Domain, word uint64) uint64 {
-	if !g.encode {
-		return v
-	}
-	k := g.wordKey(d, word)
-	if g.codecXOR {
-		return v ^ uint64(k)
-	}
-	return g.ctrl.opts.Codec.Decode(v, k)
-}
-
-func (g *Guard) wordKey(d Domain, word uint64) Key {
-	base := g.ContentKey(d)
-	if !g.enhanced {
-		return base
-	}
-	return Key(rng.Mix64(uint64(base) + word*0x9e3779b97f4a7c15))
+	return g.DecodeKeyed(v, g.WordKeys(d).Word(word))
 }
 
 // ScrambleIndex applies the index encoding (identity unless the mechanism
@@ -335,7 +377,7 @@ func (g *Guard) wordKey(d Domain, word uint64) Key {
 //bpvet:hotpath
 func (g *Guard) ScrambleIndex(idx uint64, d Domain, nbits uint) uint64 {
 	if !g.scramix {
-		return idx & (1<<nbits - 1)
+		return idx & (1<<(nbits&63) - 1)
 	}
 	return g.scrambleEnc(idx, d, nbits)
 }
@@ -355,10 +397,3 @@ func (g *Guard) scrambleEnc(idx uint64, d Domain, nbits uint) uint64 {
 func (g *Guard) TracksOwners() bool {
 	return g.active && g.ctrl.opts.Mechanism == PreciseFlush
 }
-
-// Encodes reports whether content encoding applies to this structure.
-// Storage primitives use it to skip the decode/encode calls entirely on
-// pass-through guards (the baseline and the flush mechanisms).
-//
-//bpvet:hotpath
-func (g *Guard) Encodes() bool { return g.encode }

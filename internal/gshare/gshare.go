@@ -76,7 +76,7 @@ func (g *Gshare) Predict(d core.Domain, pc uint64) bool {
 //bpvet:hotpath
 func (g *Gshare) Update(d core.Domain, pc uint64, taken bool) {
 	idx := g.scratch[d.Thread]
-	g.pht.Update(d, idx, func(v uint64) uint64 { return bump(v, taken) })
+	g.pht.Count(d, idx, 0, 2, taken)
 	g.ghr[d.Thread] = g.ghr[d.Thread]<<1 | b2u(taken)
 }
 
@@ -90,18 +90,6 @@ func (g *Gshare) PredictUpdate(d core.Domain, pc uint64, taken bool) bool {
 	pred := g.Predict(d, pc)
 	g.Update(d, pc, taken)
 	return pred
-}
-
-// bump saturates a 2-bit counter toward the outcome.
-func bump(v uint64, taken bool) uint64 {
-	if taken {
-		if v < 3 {
-			v++
-		}
-	} else if v > 0 {
-		v--
-	}
-	return v
 }
 
 // FlushAll implements core.Flusher.

@@ -96,18 +96,6 @@ func (p *Perceptron) decode(stored uint64) int {
 	return int(stored) - (1 << (p.cfg.WeightBits - 1))
 }
 
-// encode maps a signed weight back to storage, saturating at the width.
-func (p *Perceptron) encode(w int) uint64 {
-	bias := 1 << (p.cfg.WeightBits - 1)
-	if w > bias-1 {
-		w = bias - 1
-	}
-	if w < -bias {
-		w = -bias
-	}
-	return uint64(w + bias)
-}
-
 // Predict implements predictor.DirPredictor.
 //
 //bpvet:hotpath
@@ -116,7 +104,13 @@ func (p *Perceptron) Predict(d core.Domain, pc uint64) bool {
 	hist := p.ghr[d.Thread]
 	sum := p.decode(p.weights[0].Get(d, row))
 	for i := uint(0); i < p.cfg.HistoryBits; i++ {
-		w := p.decode(p.weights[i+1].Get(d, row))
+		var v uint64
+		if rd, ok := p.weights[i+1].Reader(d); ok {
+			v = rd.Get(row)
+		} else {
+			v = p.weights[i+1].Get(d, row)
+		}
+		w := p.decode(v)
 		if hist>>i&1 == 1 {
 			sum += w
 		} else {
@@ -139,26 +133,15 @@ func (p *Perceptron) Update(d core.Domain, pc uint64, taken bool) {
 		margin = -margin
 	}
 	if predicted != taken || margin <= p.theta {
-		p.weights[0].Update(d, s.row, func(v uint64) uint64 {
-			return p.encode(p.decode(v) + step(taken))
-		})
+		// A stored weight is the signed weight biased by half the range,
+		// so the saturating +1/-1 step is an unsigned saturating count.
+		p.weights[0].Count(d, s.row, 0, p.cfg.WeightBits, taken)
 		for i := uint(0); i < p.cfg.HistoryBits; i++ {
 			h := s.hist>>i&1 == 1
-			p.weights[i+1].Update(d, s.row, func(v uint64) uint64 {
-				return p.encode(p.decode(v) + step(h == taken))
-			})
+			p.weights[i+1].Count(d, s.row, 0, p.cfg.WeightBits, h == taken)
 		}
 	}
 	p.ghr[d.Thread] = p.ghr[d.Thread]<<1 | b2u(taken)
-}
-
-// step is the per-weight training delta: +1 when the history bit (or
-// the branch itself, for the bias weight) agreed with the outcome.
-func step(agree bool) int {
-	if agree {
-		return 1
-	}
-	return -1
 }
 
 // FlushAll implements core.Flusher.

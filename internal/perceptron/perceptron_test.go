@@ -129,17 +129,26 @@ func TestStorageBits(t *testing.T) {
 	}
 }
 
-// TestWeightSaturation: encode clamps at the signed width.
+// TestWeightSaturation: the training step clamps a stored weight at the
+// signed width, and the reset value decodes as 0.
 func TestWeightSaturation(t *testing.T) {
 	p, _ := newP(core.Baseline)
-	if got := p.decode(p.encode(1000)); got != 127 {
+	d := core.Domain{}
+	w := p.weights[0]
+	for i := 0; i < 1000; i++ {
+		w.Count(d, 0, 0, p.cfg.WeightBits, true)
+	}
+	if got := p.decode(w.Get(d, 0)); got != 127 {
 		t.Fatalf("positive saturation = %d, want 127", got)
 	}
-	if got := p.decode(p.encode(-1000)); got != -128 {
+	for i := 0; i < 1000; i++ {
+		w.Count(d, 0, 0, p.cfg.WeightBits, false)
+	}
+	if got := p.decode(w.Get(d, 0)); got != -128 {
 		t.Fatalf("negative saturation = %d, want -128", got)
 	}
-	if got := p.decode(p.encode(0)); got != 0 {
-		t.Fatalf("zero round-trip = %d", got)
+	if got := p.decode(w.Get(d, 1)); got != 0 {
+		t.Fatalf("reset weight = %d, want 0", got)
 	}
 }
 

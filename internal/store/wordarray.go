@@ -36,14 +36,15 @@ type WordArray struct {
 
 	// Hot-path precomputation: perWord is always a power of two (64 is
 	// only divisible by powers of two; awkward widths use one entry per
-	// word), so locate reduces to a shift and a mask. plain records a
-	// pass-through guard, skipping the codec calls entirely — Get/Set
-	// are the innermost operations of every predictor access.
+	// word), so locate reduces to a shift and a mask. xorWords records a
+	// guard whose words are the plain value XOR the word key (pass-through
+	// or the XOR codec): those reads take the inlinable Reader path, and
+	// the other codecs go through the guard's codec out of line.
 	wordShift  uint   // log2(perWord)
 	slotMask   uint64 // perWord - 1
 	entryMask  uint64 // Mask(entryBits)
 	entryShift uint64 // log2(entryBits) for packed layouts (slot * entryBits == slot << entryShift)
-	plain      bool   // guard performs no content encoding
+	xorWords   bool   // guard.XORWords(): words decode with one XOR
 
 	// owners tracks the hardware thread that last wrote each *word* (the
 	// paper's Precise Flush augments entries with thread IDs; tracking at
@@ -91,7 +92,7 @@ func NewWordArrayInit(guard *core.Guard, indexBits, entryBits uint, initFn func(
 		wordShift: bitutil.Log2(uint64(perWord)),
 		slotMask:  uint64(perWord) - 1,
 		entryMask: bitutil.Mask(entryBits),
-		plain:     !guard.Encodes(),
+		xorWords:  guard.XORWords(),
 	}
 	if perWord > 1 {
 		// Packed layouts only exist for power-of-two entry widths (the
@@ -124,21 +125,54 @@ func (a *WordArray) locate(idx uint64) (word uint64, shift uint) {
 	return idx >> a.wordShift, uint(idx&a.slotMask) * a.entryBits
 }
 
+// Reader is domain d's read view of a WordArray: the domain's word-key
+// schedule resolved once, so each Get is one load, one XOR with the word
+// key, and a shift and mask. It exists only for guards whose words decode
+// with a single XOR (pass-through and the XOR codec; see
+// WordArray.Reader); it is a value, built per access burst (a predictor
+// builds one per table per branch) and never kept across key rotations.
+type Reader struct {
+	a    *WordArray
+	keys core.WordKeys
+}
+
+// Reader returns domain d's read view and true when the guard's codec
+// allows the inlinable read path. For any other codec it returns false,
+// and the caller reads through Get, which applies the codec out of line.
+//
+//bpvet:hotpath
+func (a *WordArray) Reader(d core.Domain) (Reader, bool) {
+	return Reader{a: a, keys: a.guard.WordKeys(d)}, a.xorWords
+}
+
+// Get reads entry idx. It is small enough to inline into predictor
+// lookup loops (the inline-budget CI step checks that it stays so).
+//
+//bpvet:hotpath
+func (r Reader) Get(idx uint64) uint64 {
+	a := r.a
+	word := idx >> a.wordShift
+	return ((a.words[word] ^ r.keys.Word(word)) >> ((idx & a.slotMask) << a.entryShift)) & a.entryMask
+}
+
 // Get reads entry idx as domain d, decoding the containing word with d's
 // content key. Reading a word written by a different domain (or before a
 // key rotation) therefore yields noise — the content-isolation property.
-// The pass-through case is kept small enough to inline into predictor
-// lookup loops; the encoded case pays one out-of-line call.
+// It is one out-of-line call: XOR-decoded words take the Reader path
+// inside it, other codecs the guard's codec. Predictor loops that read
+// several entries per branch use Reader directly.
 //
 //bpvet:hotpath
 func (a *WordArray) Get(d core.Domain, idx uint64) uint64 {
-	if a.plain {
-		return (a.words[idx>>a.wordShift] >> ((idx & a.slotMask) << a.entryShift)) & a.entryMask
+	if !a.xorWords {
+		return a.getCodec(d, idx)
 	}
-	return a.getEncoded(d, idx)
+	return Reader{a: a, keys: a.guard.WordKeys(d)}.Get(idx)
 }
 
-func (a *WordArray) getEncoded(d core.Domain, idx uint64) uint64 {
+// getCodec is Get for codecs other than XOR, kept out of line so the
+// common path stays small.
+func (a *WordArray) getCodec(d core.Domain, idx uint64) uint64 {
 	word, shift := a.locate(idx)
 	w := a.guard.DecodeWord(a.words[word], d, word)
 	return (w >> shift) & a.entryMask
@@ -148,44 +182,68 @@ func (a *WordArray) getEncoded(d core.Domain, idx uint64) uint64 {
 // modified, and re-encoded with d's key, modelling the hardware
 // read-modify-write of a sub-word update (§5.2 "the original counter needs
 // to be read out of the PHT (and decoded) first before being updated,
-// re-encoded, and written back").
+// re-encoded, and written back"). The word key is derived once and used
+// for both the decode and the encode.
 //
 //bpvet:hotpath
 func (a *WordArray) Set(d core.Domain, idx uint64, v uint64) {
 	word, shift := a.locate(idx)
-	w := a.words[word]
-	if !a.plain {
-		w = a.guard.DecodeWord(w, d, word)
-	}
+	k := a.guard.WordKeys(d).Word(word)
 	m := a.entryMask << shift
-	w = (w &^ m) | ((v << shift) & m)
-	if !a.plain {
-		w = a.guard.EncodeWord(w, d, word)
-	}
-	a.words[word] = w
-	if a.owners != nil {
-		a.owners[word] = d.Thread
-		a.valid[word] = true
-	}
+	w := a.guard.DecodeKeyed(a.words[word], k)
+	a.words[word] = a.guard.EncodeKeyed((w&^m)|((v<<shift)&m), k)
+	a.own(d, word)
 }
 
 // Update applies fn to entry idx under domain d in one decode/encode pass.
+// Saturating counters train through Count instead, which needs no
+// closure.
 //
 //bpvet:hotpath
 func (a *WordArray) Update(d core.Domain, idx uint64, fn func(uint64) uint64) {
 	word, shift := a.locate(idx)
-	w := a.words[word]
-	if !a.plain {
-		w = a.guard.DecodeWord(w, d, word)
+	k := a.guard.WordKeys(d).Word(word)
+	w := a.guard.DecodeKeyed(a.words[word], k)
+	v := fn((w>>shift)&a.entryMask) & a.entryMask
+	a.words[word] = a.guard.EncodeKeyed((w&^(a.entryMask<<shift))|(v<<shift), k)
+	a.own(d, word)
+}
+
+// Count steps the saturating counter held in bits [lo, lo+width) of entry
+// idx under domain d — up by one unless already at its maximum, or down
+// by one unless already 0 — in one decode/encode pass. It is the
+// counter-training form of Update, with no closure call. The entry is
+// written back (and its owner recorded) even when the counter is
+// saturated, exactly as an Update would.
+//
+//bpvet:hotpath
+func (a *WordArray) Count(d core.Domain, idx uint64, lo, width uint, up bool) {
+	word, shift := a.locate(idx)
+	k := a.guard.WordKeys(d).Word(word)
+	w := a.guard.DecodeKeyed(a.words[word], k)
+	shift += lo
+	top := uint64(1)<<width - 1
+	c := (w >> shift) & top
+	// Branch-free: the direction is the resolved outcome, which the host's
+	// branch predictor would mispredict as often as the simulated one.
+	// Each single assignment under up compiles to a conditional move.
+	step := -(uint64(1) << shift)
+	if up {
+		step = 1 << shift
 	}
-	old := (w >> shift) & a.entryMask
-	v := fn(old) & a.entryMask
-	m := a.entryMask << shift
-	w = (w &^ m) | (v << shift)
-	if !a.plain {
-		w = a.guard.EncodeWord(w, d, word)
+	limit := uint64(0)
+	if up {
+		limit = top
 	}
-	a.words[word] = w
+	if c != limit {
+		w += step
+	}
+	a.words[word] = a.guard.EncodeKeyed(w, k)
+	a.own(d, word)
+}
+
+// own records d's thread as the last writer of word, for Precise Flush.
+func (a *WordArray) own(d core.Domain, word uint64) {
 	if a.owners != nil {
 		a.owners[word] = d.Thread
 		a.valid[word] = true

@@ -117,8 +117,14 @@ func (l *LoopPredictor) Predict(d core.Domain, pc uint64, s *loopScratch) (pred,
 	s.way = -1
 	s.used = false
 	s.predSeen = true
+	rd, fast := l.rows.Reader(d)
 	for w := 0; w < int(l.cfg.Ways); w++ {
-		row := l.rows.Get(d, l.rowIdx(s.set, w))
+		var row uint64
+		if fast {
+			row = rd.Get(l.rowIdx(s.set, w))
+		} else {
+			row = l.rows.Get(d, l.rowIdx(s.set, w))
+		}
 		tag, past, cur, conf, dir, valid := l.unpackRow(row)
 		if valid == 0 || tag != s.tag {
 			continue

@@ -93,11 +93,6 @@ type threadState struct {
 	outs  []uint64         // per-table leaving-bit scratch for the fold pass
 }
 
-// Lane accessors for threadState.folds. i is the tagged table index.
-func (ts *threadState) idxFold(n, i int) *bitutil.Folded { return &ts.folds[i] }
-func (ts *threadState) t0Fold(n, i int) *bitutil.Folded  { return &ts.folds[n+i] }
-func (ts *threadState) t1Fold(n, i int) *bitutil.Folded  { return &ts.folds[2*n+i] }
-
 // scratch carries the prediction's provider metadata to the update.
 type scratch struct {
 	baseIdx   uint64
@@ -221,27 +216,6 @@ func (t *TAGE) state(th core.HWThread) *threadState {
 	return t.threads[th]
 }
 
-// index computes tagged table i's physical index for (d, pc).
-func (t *TAGE) index(ts *threadState, d core.Domain, i int, pc uint64) uint64 {
-	tb := &t.tabs[i]
-	p := pc >> pcShift
-	logical := p ^ (p >> tb.pcFold) ^ ts.idxFold(t.nTab, i).Value()
-	return tb.guard.ScrambleIndex(logical&tb.idxMask, d, tb.bits)
-}
-
-// tag computes tagged table i's logical tag for pc.
-func (t *TAGE) tag(ts *threadState, i int, pc uint64) uint64 {
-	p := pc >> pcShift
-	v := p ^ ts.t0Fold(t.nTab, i).Value() ^ (ts.t1Fold(t.nTab, i).Value() << 1)
-	return v & t.tabs[i].tagMask
-}
-
-// unpack splits a tagged entry word into (tag, ctr).
-func (t *TAGE) unpack(i int, w uint64) (tag, ctr uint64) {
-	tb := &t.tabs[i]
-	return w & tb.tagMask, (w >> tb.tagBits) & bitutil.Mask(ctrBits)
-}
-
 // pack builds a tagged entry word.
 func (t *TAGE) pack(i int, tag, ctr uint64) uint64 {
 	tb := &t.tabs[i]
@@ -267,25 +241,41 @@ func (t *TAGE) Predict(d core.Domain, pc uint64) bool {
 	// either: every later consumer of s.indexes/s.tags — the provider
 	// and alternate training, the usefulness update, and allocation
 	// (which only touches tables above the provider) — reads entries the
-	// scan visited, so the skipped hashes are provably dead.
+	// scan visited, so the skipped hashes are provably dead. The hash and
+	// the table read are inline: the pc term and the three fold lanes are
+	// hoisted out of the loop, and a table whose codec allows it is read
+	// through its store.Reader with no call. pcFold is at most the table's
+	// index width, so masking it with 63 changes no shift; it only spares
+	// the compiler's oversized-shift fix-up.
 	s.provider, s.altTable = -1, -1
 	s.usedAlt = false
-	for i := t.nTab - 1; i >= 0; i-- {
-		s.indexes[i] = t.index(ts, d, i, pc)
-		s.tags[i] = t.tag(ts, i, pc)
-		w := t.tabs[i].arr.Get(d, s.indexes[i])
-		tag, ctr := t.unpack(i, w)
-		if tag != s.tags[i] {
+	p := pc >> pcShift
+	n := t.nTab
+	idxFolds, t0Folds, t1Folds := ts.folds[:n], ts.folds[n:2*n], ts.folds[2*n:3*n]
+	indexes, tags := s.indexes[:n], s.tags[:n]
+	for i := n - 1; i >= 0; i-- {
+		tb := &t.tabs[i]
+		idx := tb.guard.ScrambleIndex((p^(p>>(tb.pcFold&63))^idxFolds[i].Value())&tb.idxMask, d, tb.bits)
+		want := (p ^ t0Folds[i].Value() ^ (t1Folds[i].Value() << 1)) & tb.tagMask
+		indexes[i], tags[i] = idx, want
+		var w uint64
+		if rd, ok := tb.arr.Reader(d); ok {
+			w = rd.Get(idx)
+		} else {
+			w = tb.arr.Get(d, idx)
+		}
+		if w&tb.tagMask != want {
 			continue
 		}
+		ctr := (w >> tb.tagBits) & (1<<ctrBits - 1)
 		if s.provider == -1 {
 			s.provider = i
-			s.provIdx = s.indexes[i]
+			s.provIdx = idx
 			s.provCtr = ctr
 			s.provPred = ctr >= 4
 		} else {
 			s.altTable = i
-			s.altIdx = s.indexes[i]
+			s.altIdx = idx
 			s.altPred = ctr >= 4
 			break
 		}
@@ -337,10 +327,7 @@ func (t *TAGE) Update(d core.Domain, pc uint64, taken bool) {
 		}
 		// Train the provider counter.
 		i := s.provider
-		t.tabs[i].arr.Update(d, s.provIdx, func(w uint64) uint64 {
-			tag, ctr := t.unpack(i, w)
-			return t.pack(i, tag, bump3(ctr, taken))
-		})
+		t.tabs[i].arr.Count(d, s.provIdx, t.tabs[i].tagBits, ctrBits, taken)
 		// Usefulness: provider distinguished itself from the alternate.
 		if s.provPred != s.altPred {
 			uc := &t.tabs[i].u[s.provIdx]
@@ -356,10 +343,7 @@ func (t *TAGE) Update(d core.Domain, pc uint64, taken bool) {
 		// alternate too.
 		if s.usedAlt && s.altTable >= 0 {
 			j := s.altTable
-			t.tabs[j].arr.Update(d, s.altIdx, func(w uint64) uint64 {
-				tag, ctr := t.unpack(j, w)
-				return t.pack(j, tag, bump3(ctr, taken))
-			})
+			t.tabs[j].arr.Count(d, s.altIdx, t.tabs[j].tagBits, ctrBits, taken)
 		}
 		// When the alternate was the base predictor and it was consulted,
 		// train the base.
@@ -405,7 +389,7 @@ func b2u64(b bool) uint64 {
 }
 
 func (t *TAGE) updateBase(d core.Domain, s *scratch, taken bool) {
-	t.base.Update(d, s.baseIdx, func(v uint64) uint64 { return bump2(v, taken) })
+	t.base.Count(d, s.baseIdx, 0, 2, taken)
 }
 
 // allocate claims an entry with u==0 in a longer-history table, with a
@@ -612,32 +596,6 @@ func (t *TAGE) Entries() uint64 {
 		n += t.loop.Entries()
 	}
 	return n
-}
-
-func bump2(v uint64, up bool) uint64 {
-	if up {
-		if v < 3 {
-			return v + 1
-		}
-		return v
-	}
-	if v > 0 {
-		return v - 1
-	}
-	return 0
-}
-
-func bump3(v uint64, up bool) uint64 {
-	if up {
-		if v < 7 {
-			return v + 1
-		}
-		return v
-	}
-	if v > 0 {
-		return v - 1
-	}
-	return 0
 }
 
 var _ predictor.DirPredictor = (*TAGE)(nil)

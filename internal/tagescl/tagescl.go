@@ -205,7 +205,13 @@ func (p *TAGESCL) Predict(d core.Domain, pc uint64) bool {
 	p.componentIndexes(ts, d, pc, s.idx)
 	sum := 0
 	for k := 0; k < p.nComp; k++ {
-		c := p.ctrValue(p.tables[k].Get(d, s.idx[k]))
+		var v uint64
+		if rd, ok := p.tables[k].Reader(d); ok {
+			v = rd.Get(s.idx[k])
+		} else {
+			v = p.tables[k].Get(d, s.idx[k])
+		}
+		c := p.ctrValue(v)
 		w := 1
 		if k == 0 {
 			// The PC-indexed bias component carries double weight, as in
@@ -280,17 +286,9 @@ func (p *TAGESCL) Update(d core.Domain, pc uint64, taken bool) {
 		// which matters after a key rotation leaves them as noise).
 		if s.scPred != taken || abs(s.sum) < s.thrUsed {
 			for k := 0; k < p.nComp; k++ {
-				p.tables[k].Update(d, s.idx[k], func(v uint64) uint64 {
-					c := p.ctrValue(v)
-					if taken {
-						if c < (1<<(p.cfg.SCCtrBits-1))-1 {
-							c++
-						}
-					} else if c > -(1 << (p.cfg.SCCtrBits - 1)) {
-						c--
-					}
-					return uint64(c + (1 << (p.cfg.SCCtrBits - 1)))
-				})
+				// Counters are stored biased by half their range, so
+				// the signed saturating step is an unsigned one.
+				p.tables[k].Count(d, s.idx[k], 0, p.cfg.SCCtrBits, taken)
 			}
 		}
 		// Per-branch local history.

@@ -127,13 +127,11 @@ func (t *Tournament) Update(d core.Domain, pc uint64, taken bool) {
 	// Chooser trains towards whichever component was right, only when
 	// they disagreed.
 	if s.localTaken != s.globalTaken {
-		t.choicePred.Update(d, s.choiceIdx, func(v uint64) uint64 {
-			return bump2(v, s.globalTaken == taken)
-		})
+		t.choicePred.Count(d, s.choiceIdx, 0, 2, s.globalTaken == taken)
 	}
 
-	t.localPred.Update(d, s.localPIdx, func(v uint64) uint64 { return bump2(v, taken) })
-	t.globalPred.Update(d, s.globalIdx, func(v uint64) uint64 { return bump2(v, taken) })
+	t.localPred.Count(d, s.localPIdx, 0, 2, taken)
+	t.globalPred.Count(d, s.globalIdx, 0, 2, taken)
 
 	// Shift the outcome into the branch's local history and the thread's
 	// path history.
@@ -196,20 +194,6 @@ func (t *Tournament) StorageBits() uint64 {
 func (t *Tournament) Entries() uint64 {
 	return t.localHist.Len() + t.localPred.Len() +
 		t.globalPred.Len() + t.choicePred.Len()
-}
-
-// bump2 saturating-updates a 2-bit counter value.
-func bump2(v uint64, up bool) uint64 {
-	if up {
-		if v < 3 {
-			return v + 1
-		}
-		return v
-	}
-	if v > 0 {
-		return v - 1
-	}
-	return 0
 }
 
 func b2u(b bool) uint64 {
