@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"xorbp/internal/core"
 	"xorbp/internal/experiment"
 	"xorbp/internal/wire"
+	"xorbp/internal/workload"
 )
 
 func tmpJournal(t *testing.T) string {
@@ -194,5 +196,60 @@ func TestAttachJournalLifecycle(t *testing.T) {
 	}
 	if j2.Done() != 2 {
 		t.Fatalf("resumed journal holds %d cells, want 2", j2.Done())
+	}
+}
+
+// TestJournalNonCanonicalResultReSimulates: a done record whose result
+// is not in canonical form (hand-edited, or from a writer that does
+// not produce the canonical bytes) is not primed, so its cell
+// re-simulates on resume; the canonical record still primes.
+func TestJournalNonCanonicalResultReSimulates(t *testing.T) {
+	scale := experiment.MicroScale()
+	pair := workload.SingleCorePairs()[0]
+	overhead := func(s *experiment.Session) {
+		s.SingleCoreOverhead(core.OptionsFor(core.XOR), pair, scale.TimerPeriods[0])
+	}
+	p := experiment.NewPlanner()
+	overhead(experiment.NewSessionWith(scale, p))
+	exec := experiment.NewExecutor(1)
+	exec.Plan(p)
+	keys := exec.PlannedKeys()
+	if len(keys) != 2 {
+		t.Fatalf("planned %d cells, want a baseline and a mechanism cell", len(keys))
+	}
+
+	canon := string(wire.Result{Cycles: 5}.Encode())
+	done := [][2]string{ // key, result
+		{keys[0], canon},
+		{keys[1], strings.Replace(canon, `,"`, `, "`, 1)}, // whitespace
+		// Unplanned keys: primed if they decoded, never simulated.
+		{"reordered", "{" + strings.TrimSuffix(strings.TrimPrefix(canon, `{"cycles":5,`), "}") + `,"cycles":5}`},
+		{"case", strings.Replace(canon, `"cycles"`, `"Cycles"`, 1)},
+	}
+	lines := []string{fmt.Sprintf(`{"journal":%q,"schema":%q}`, journalFormat, experiment.SchemaVersion())}
+	for _, d := range done {
+		lines = append(lines, fmt.Sprintf(`{"op":"done","key":%q,"result":%s}`, d[0], d[1]))
+	}
+	path := tmpJournal(t)
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := experiment.NewExecutor(1)
+	resumed.Plan(p)
+	j := AttachJournal("test", resumed, path, true)
+	defer j.Close()
+	if j.Done() != len(done) {
+		t.Fatalf("resumed journal holds %d cells, want %d", j.Done(), len(done))
+	}
+	if resumed.Primed() != 1 {
+		t.Fatalf("resumed executor primed %d cells, want only the canonical one", resumed.Primed())
+	}
+	overhead(experiment.NewSessionWith(scale, resumed))
+	if err := resumed.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := resumed.Runs(); got != 1 {
+		t.Fatalf("resumed sweep simulated %d cells, want 1 (the non-canonical record's)", got)
 	}
 }

@@ -12,14 +12,28 @@
 // names. Golden tests (testdata/) lock the byte-level form, so schema
 // drift fails loudly instead of silently aliasing or orphaning cache
 // entries.
+//
+// The codec is hand-written: Spec.Encode, Result.Encode and
+// DecodeResult append and parse fields in declaration order without
+// reflection, because a warm re-render decodes every cached result and
+// keys every planned spec. The bytes are exactly what encoding/json
+// writes for the tagged types, and encoding/json is the codec's test
+// reference: the tests compare the two byte for byte on values filled
+// field by field through reflection, so a field added without codec
+// support fails them. Decoders accept only canonical bytes — the
+// encoding of the value they return.
 package wire
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"xorbp/internal/core"
 	"xorbp/internal/cpu"
@@ -232,26 +246,132 @@ func typeSig(t reflect.Type, seen map[reflect.Type]bool) string {
 // Encode renders the canonical byte form of the spec: single-line JSON
 // with fixed field order. Two equal Specs always encode to identical
 // bytes, so the encoding doubles as the cache-key payload.
+//
+// The interface fields of Opts are not encoded: their identities
+// travel in Codec/Scrambler, so a populated Options cannot leak
+// implementation-dependent bytes into the canonical form.
 func (s Spec) Encode() []byte {
-	// The interface fields carry json:"-" so a populated Options cannot
-	// leak implementation-dependent bytes into the canonical form; the
-	// identities must already be in Codec/Scrambler.
-	b, err := json.Marshal(s)
-	if err != nil {
-		// Every encoded field is a plain value type; Marshal cannot fail.
-		panic(fmt.Sprintf("wire: encoding spec: %v", err))
-	}
-	return b
+	// A performance spec encodes to about 640 bytes.
+	return s.appendJSON(make([]byte, 0, 768))
 }
 
-// DecodeSpec parses a canonical spec encoding. Unknown fields are
-// rejected: a worker on a different schema must fail loudly, not guess.
+func (s *Spec) appendJSON(b []byte) []byte {
+	b = append(b, '{')
+	if s.Kind != "" {
+		b = append(b, `"kind":`...)
+		b = appendString(b, s.Kind)
+		b = append(b, ',')
+	}
+	o := &s.Opts
+	b = append(b, `"opts":{"mechanism":`...)
+	b = strconv.AppendInt(b, int64(o.Mechanism), 10)
+	b = append(b, `,"scope":`...)
+	b = strconv.AppendUint(b, uint64(o.Scope), 10)
+	b = append(b, `,"enhanced_pht":`...)
+	b = strconv.AppendBool(b, o.EnhancedPHT)
+	b = append(b, `,"rotate_on_privilege":`...)
+	b = strconv.AppendBool(b, o.RotateOnPrivilege)
+	b = append(b, `,"flush_on_privilege":`...)
+	b = strconv.AppendBool(b, o.FlushOnPrivilege)
+	b = append(b, `,"rekey_period":`...)
+	b = strconv.AppendUint(b, o.RekeyPeriod, 10)
+	b = append(b, `},"codec":`...)
+	b = appendString(b, s.Codec)
+	b = append(b, `,"scrambler":`...)
+	b = appendString(b, s.Scrambler)
+	b = append(b, `,"pred":`...)
+	b = appendString(b, s.Pred)
+	c := &s.Cfg
+	b = append(b, `,"cfg":{"name":`...)
+	b = appendString(b, c.Name)
+	b = append(b, `,"fetch_width":`...)
+	b = strconv.AppendInt(b, int64(c.FetchWidth), 10)
+	b = append(b, `,"mispredict_penalty":`...)
+	b = strconv.AppendUint(b, c.MispredictPenalty, 10)
+	b = append(b, `,"btb_miss_penalty":`...)
+	b = strconv.AppendUint(b, c.BTBMissPenalty, 10)
+	b = append(b, `,"btb":{"sets":`...)
+	b = strconv.AppendUint(b, uint64(c.BTB.Sets), 10)
+	b = append(b, `,"ways":`...)
+	b = strconv.AppendUint(b, uint64(c.BTB.Ways), 10)
+	b = append(b, `,"tag_bits":`...)
+	b = strconv.AppendUint(b, uint64(c.BTB.TagBits), 10)
+	b = append(b, `,"target_bits":`...)
+	b = strconv.AppendUint(b, uint64(c.BTB.TargetBits), 10)
+	b = append(b, `},"ras_depth":`...)
+	b = strconv.AppendInt(b, int64(c.RASDepth), 10)
+	b = append(b, `,"hw_threads":`...)
+	b = strconv.AppendInt(b, int64(c.HWThreads), 10)
+	b = append(b, `},"timer":`...)
+	b = strconv.AppendUint(b, s.Timer, 10)
+	b = append(b, `,"threads":`...)
+	if s.Threads == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, t := range s.Threads {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(b, t)
+		}
+		b = append(b, ']')
+	}
+	sc := &s.Scale
+	b = append(b, `,"scale":{"warmup_instr":`...)
+	b = strconv.AppendUint(b, sc.WarmupInstr, 10)
+	b = append(b, `,"measure_instr":`...)
+	b = strconv.AppendUint(b, sc.MeasureInstr, 10)
+	b = append(b, `,"smt_warmup_instr":`...)
+	b = strconv.AppendUint(b, sc.SMTWarmupInstr, 10)
+	b = append(b, `,"smt_measure_instr":`...)
+	b = strconv.AppendUint(b, sc.SMTMeasureInstr, 10)
+	b = append(b, `,"timer_periods":[`...)
+	for i, p := range sc.TimerPeriods {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, p, 10)
+	}
+	b = append(b, `],"timer_labels":[`...)
+	for i, l := range sc.TimerLabels {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendString(b, l)
+	}
+	b = append(b, `],"seed":`...)
+	b = strconv.AppendUint(b, sc.Seed, 10)
+	b = append(b, '}')
+	if a := s.Attack; a != nil {
+		b = append(b, `,"attack":{"name":`...)
+		b = appendString(b, a.Name)
+		b = append(b, `,"scenario":`...)
+		b = appendString(b, a.Scenario)
+		b = append(b, `,"rekey_period":`...)
+		b = strconv.AppendUint(b, a.RekeyPeriod, 10)
+		b = append(b, `,"trials":`...)
+		b = strconv.AppendInt(b, int64(a.Trials), 10)
+		b = append(b, `,"attempts":`...)
+		b = strconv.AppendInt(b, int64(a.Attempts), 10)
+		b = append(b, `,"seed":`...)
+		b = strconv.AppendUint(b, a.Seed, 10)
+		b = append(b, '}')
+	}
+	return append(b, '}')
+}
+
+// DecodeSpec parses a canonical spec encoding: it accepts exactly the
+// bytes Encode produces. Unknown fields, case-variant keys, whitespace
+// and trailing data are rejected: a worker on a different schema must
+// fail loudly, not guess.
 func DecodeSpec(b []byte) (Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := json.Unmarshal(b, &s); err != nil {
 		return Spec{}, fmt.Errorf("wire: decoding spec: %w", err)
+	}
+	if !bytes.Equal(s.Encode(), b) {
+		return Spec{}, errors.New("wire: decoding spec: input is not the canonical encoding")
 	}
 	return s, nil
 }
@@ -268,25 +388,310 @@ func (s Spec) Key() string {
 // prefix hashed once, at package initialization.
 var specKeyer = runcache.NewKeyer(schemaVersion)
 
-// Encode renders the canonical byte form of the result.
+// Encode renders the canonical byte form of the result. It panics on a
+// NaN or infinite BTBHitRate, which JSON cannot carry and no simulation
+// produces.
 func (r Result) Encode() []byte {
-	b, err := json.Marshal(r)
-	if err != nil {
-		panic(fmt.Sprintf("wire: encoding result: %v", err))
-	}
-	return b
+	// A result with one other thread encodes to about 430 bytes.
+	return r.appendJSON(make([]byte, 0, 512))
 }
 
-// DecodeResult parses a canonical result encoding (strict, like
-// DecodeSpec).
+func (r *Result) appendJSON(b []byte) []byte {
+	b = append(b, `{"cycles":`...)
+	b = strconv.AppendUint(b, r.Cycles, 10)
+	b = append(b, `,"target":`...)
+	b = appendThreadStats(b, &r.Target)
+	b = append(b, `,"others":`...)
+	if r.Others == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range r.Others {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendThreadStats(b, &r.Others[i])
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"priv_switches":`...)
+	b = strconv.AppendUint(b, r.PrivSwitches, 10)
+	b = append(b, `,"ctx_switches":`...)
+	b = strconv.AppendUint(b, r.CtxSwitches, 10)
+	b = append(b, `,"btb_hit_rate":`...)
+	b = appendFloat(b, r.BTBHitRate)
+	if a := r.Attack; a != nil {
+		b = append(b, `,"attack":{"successes":`...)
+		b = strconv.AppendInt(b, int64(a.Successes), 10)
+		b = append(b, `,"trials":`...)
+		b = strconv.AppendInt(b, int64(a.Trials), 10)
+		b = append(b, '}')
+	}
+	return append(b, '}')
+}
+
+func appendThreadStats(b []byte, s *cpu.ThreadStats) []byte {
+	b = append(b, `{"instructions":`...)
+	b = strconv.AppendUint(b, s.Instructions, 10)
+	b = append(b, `,"branches":`...)
+	b = strconv.AppendUint(b, s.Branches, 10)
+	b = append(b, `,"cond_branches":`...)
+	b = strconv.AppendUint(b, s.CondBranches, 10)
+	b = append(b, `,"dir_misp":`...)
+	b = strconv.AppendUint(b, s.DirMisp, 10)
+	b = append(b, `,"eff_misp":`...)
+	b = strconv.AppendUint(b, s.EffMisp, 10)
+	b = append(b, `,"targ_misp":`...)
+	b = strconv.AppendUint(b, s.TargMisp, 10)
+	b = append(b, `,"decode_redir":`...)
+	b = strconv.AppendUint(b, s.DecodeRedir, 10)
+	b = append(b, `,"syscalls":`...)
+	b = strconv.AppendUint(b, s.Syscalls, 10)
+	return append(b, '}')
+}
+
+// DecodeResult parses a canonical result encoding: it accepts exactly
+// the bytes Encode produces, so whitespace, reordered, unknown or
+// case-variant keys, non-canonical numbers and trailing data are all
+// rejected.
 func DecodeResult(b []byte) (Result, error) {
 	var r Result
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
+	p := parser{b: b}
+	p.lit(`{"cycles":`)
+	r.Cycles = p.uint()
+	p.lit(`,"target":`)
+	p.threadStats(&r.Target)
+	p.lit(`,"others":`)
+	switch {
+	case p.opt("null"):
+	case p.opt("[]"):
+		r.Others = []cpu.ThreadStats{}
+	default:
+		p.lit("[")
+		for {
+			var s cpu.ThreadStats
+			p.threadStats(&s)
+			r.Others = append(r.Others, s)
+			if p.bad || !p.opt(",") {
+				break
+			}
+		}
+		p.lit("]")
+	}
+	p.lit(`,"priv_switches":`)
+	r.PrivSwitches = p.uint()
+	p.lit(`,"ctx_switches":`)
+	r.CtxSwitches = p.uint()
+	p.lit(`,"btb_hit_rate":`)
+	r.BTBHitRate = p.float()
+	if p.opt(`,"attack":{"successes":`) {
+		r.Attack = &AttackResult{Successes: p.int()}
+		p.lit(`,"trials":`)
+		r.Attack.Trials = p.int()
+		p.lit("}")
+	}
+	p.lit("}")
+	if err := p.end(); err != nil {
 		return Result{}, fmt.Errorf("wire: decoding result: %w", err)
 	}
+	// The parser takes some non-canonical spellings (leading zeros, a
+	// float's exponent form); re-encoding rejects them. The stack buffer
+	// holds the re-encoding of a simulated result with up to three
+	// other threads; a larger one grows onto the heap.
+	var buf [1024]byte
+	if !bytes.Equal(r.appendJSON(buf[:0]), b) {
+		return Result{}, errors.New("wire: decoding result: input is not the canonical encoding")
+	}
 	return r, nil
+}
+
+func (p *parser) threadStats(s *cpu.ThreadStats) {
+	p.lit(`{"instructions":`)
+	s.Instructions = p.uint()
+	p.lit(`,"branches":`)
+	s.Branches = p.uint()
+	p.lit(`,"cond_branches":`)
+	s.CondBranches = p.uint()
+	p.lit(`,"dir_misp":`)
+	s.DirMisp = p.uint()
+	p.lit(`,"eff_misp":`)
+	s.EffMisp = p.uint()
+	p.lit(`,"targ_misp":`)
+	s.TargMisp = p.uint()
+	p.lit(`,"decode_redir":`)
+	s.DecodeRedir = p.uint()
+	p.lit(`,"syscalls":`)
+	s.Syscalls = p.uint()
+	p.lit("}")
+}
+
+// parser is a cursor over a canonical encoding. The first mismatch
+// sets bad and turns every later step into a no-op, so decoders read
+// straight through and check once, at end.
+type parser struct {
+	b    []byte
+	i    int
+	bad  bool
+	want string // what the cursor expected where it stopped
+}
+
+func (p *parser) fail(want string) {
+	if !p.bad {
+		p.bad, p.want = true, want
+	}
+}
+
+// lit consumes s or fails.
+func (p *parser) lit(s string) {
+	if !p.opt(s) {
+		p.fail(strconv.Quote(s))
+	}
+}
+
+// opt consumes s if the input continues with it.
+func (p *parser) opt(s string) bool {
+	if p.bad || len(p.b)-p.i < len(s) || string(p.b[p.i:p.i+len(s)]) != s {
+		return false
+	}
+	p.i += len(s)
+	return true
+}
+
+// uint consumes a decimal uint64.
+func (p *parser) uint() uint64 {
+	if p.bad {
+		return 0
+	}
+	start := p.i
+	var v uint64
+	for ; p.i < len(p.b) && p.b[p.i]-'0' <= 9; p.i++ {
+		d := uint64(p.b[p.i] - '0')
+		if v > (math.MaxUint64-d)/10 {
+			p.fail("a uint64")
+			return 0
+		}
+		v = v*10 + d
+	}
+	if p.i == start {
+		p.fail("a uint64")
+	}
+	return v
+}
+
+// int consumes a decimal int.
+func (p *parser) int() int {
+	v, err := strconv.ParseInt(string(p.token("-0123456789")), 10, strconv.IntSize)
+	if err != nil {
+		p.fail("an int")
+	}
+	return int(v)
+}
+
+// float consumes a JSON number as a float64.
+func (p *parser) float() float64 {
+	v, err := strconv.ParseFloat(string(p.token("-+.0123456789eE")), 64)
+	if err != nil {
+		p.fail("a float64")
+	}
+	return v
+}
+
+// token consumes the longest run of bytes from set.
+func (p *parser) token(set string) []byte {
+	if p.bad {
+		return nil
+	}
+	start := p.i
+	for p.i < len(p.b) && strings.IndexByte(set, p.b[p.i]) >= 0 {
+		p.i++
+	}
+	return p.b[start:p.i]
+}
+
+// end reports the first mismatch, or trailing bytes after the value.
+func (p *parser) end() error {
+	if p.bad {
+		return fmt.Errorf("offset %d: want %s", p.i, p.want)
+	}
+	if p.i != len(p.b) {
+		return fmt.Errorf("offset %d: trailing data after the value", p.i)
+	}
+	return nil
+}
+
+// appendString appends s as a JSON string exactly as encoding/json
+// writes it: `"` and `\` backslash-escaped; \b, \f, \n, \r and \t by
+// name; other control characters and the HTML-sensitive <, > and & as
+// \u00XX; U+2028 and U+2029 as \u2028 and \u2029; each byte of invalid
+// UTF-8 as \ufffd.
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}
+
+// appendFloat appends f as encoding/json writes a float64: the
+// shortest round-trip digits, in 'f' format except below 1e-6 and from
+// 1e21 up, where it uses 'e' with a one-digit-minimum exponent (e-9,
+// not e-09).
+func appendFloat(b []byte, f float64) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		panic("wire: encoding result: unsupported float value " + strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // RunRequest is the body of POST /run on a bpserve worker.

@@ -159,6 +159,27 @@ func BenchmarkSpecKey(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeResult times one cached result's decode on a warm
+// re-render.
+func BenchmarkDecodeResult(b *testing.B) {
+	enc := goldenResult().Encode()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := DecodeResult(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkResultEncode times one result's canonical encoding.
+func BenchmarkResultEncode(b *testing.B) {
+	r := goldenResult()
+	b.ReportAllocs()
+	for b.Loop() {
+		r.Encode()
+	}
+}
+
 // TestEncodeIgnoresInterfaceValues: a populated Codec/Scrambler value
 // must not leak into the canonical bytes — identity travels by name.
 func TestEncodeIgnoresInterfaceValues(t *testing.T) {
@@ -194,13 +215,31 @@ func TestKeySensitivity(t *testing.T) {
 }
 
 // TestDecodeRejectsUnknownFields: a spec from a different schema
-// generation fails loudly instead of being silently reinterpreted.
+// generation fails loudly instead of being silently reinterpreted, and
+// so does any other input that is not the canonical encoding — trailing
+// data and case-variant keys included.
 func TestDecodeRejectsUnknownFields(t *testing.T) {
-	if _, err := DecodeSpec([]byte(`{"opts":{},"surprise":1}`)); err == nil {
-		t.Fatal("unknown spec field accepted")
+	for _, in := range []string{
+		`{"opts":{},"surprise":1}`,
+		`{"pred":"tage"}xyz`,
+		`{"PRED":"tage"}`,
+		string(goldenSpec().Encode()) + "xyz",
+		strings.Replace(string(goldenSpec().Encode()), `"pred"`, `"PRED"`, 1),
+	} {
+		if _, err := DecodeSpec([]byte(in)); err == nil {
+			t.Errorf("DecodeSpec accepted %s", in)
+		}
 	}
-	if _, err := DecodeResult([]byte(`{"cycles":1,"surprise":1}`)); err == nil {
-		t.Fatal("unknown result field accepted")
+	for _, in := range []string{
+		`{"cycles":1,"surprise":1}`,
+		`{"cycles":7} {"cycles":9} trailing garbage`,
+		`{"CYCLES":5}`,
+		string(goldenResult().Encode()) + `{"cycles":9}`,
+		strings.Replace(string(goldenResult().Encode()), `"cycles"`, `"CYCLES"`, 1),
+	} {
+		if _, err := DecodeResult([]byte(in)); err == nil {
+			t.Errorf("DecodeResult accepted %s", in)
+		}
 	}
 }
 
