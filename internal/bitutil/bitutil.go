@@ -7,6 +7,7 @@ package bitutil
 
 import (
 	"math"
+	"math/bits"
 
 	"xorbp/internal/rng"
 	"xorbp/internal/snap"
@@ -208,11 +209,21 @@ func (c *SignedCounter) Restore(r *snap.Reader) {
 	c.value = v
 }
 
-// History is a shift register of branch outcomes of bounded length,
-// supporting the long histories (up to 3000 bits for TAGE_SC_L) as a bit
-// vector. Bit 0 is the most recent outcome.
+// History is a register of the most recent branch outcomes, of bounded
+// length, supporting the long histories (up to 3000 bits for TAGE_SC_L)
+// as a bit vector. Bit 0 is the most recent outcome.
+//
+// The bits live in a power-of-two ring of words: a push moves the head
+// down one position and writes one bit, and outcome i sits i positions
+// above the head, so neither Push nor Bit depends on the history length.
+// Positions at or beyond length hold outcomes that have left the window;
+// every reader masks them off, and Snapshot linearizes the ring into the
+// shift-register layout (word k holds outcomes 64k..64k+63, with bits at
+// or beyond length clear).
 type History struct {
 	bits   []uint64
+	head   uint // ring position of outcome 0
+	mask   uint // ring size in bits, minus one
 	length uint
 }
 
@@ -221,8 +232,13 @@ func NewHistory(length uint) *History {
 	if length == 0 {
 		panic("bitutil: zero-length history")
 	}
+	words := uint(1)
+	for words*64 < length {
+		words <<= 1
+	}
 	return &History{
-		bits:   make([]uint64, (length+63)/64),
+		bits:   make([]uint64, words),
+		mask:   words*64 - 1,
 		length: length,
 	}
 }
@@ -232,24 +248,19 @@ func NewHistory(length uint) *History {
 //bpvet:hotpath
 func (h *History) Len() uint { return h.length }
 
-// Push shifts in a new outcome as bit 0.
+// Push records a new outcome as bit 0. It overwrites the ring slot of
+// the oldest outcome the ring holds, which is at least length pushes old.
 //
 //bpvet:hotpath
 func (h *History) Push(taken bool) {
-	carry := uint64(0)
+	p := (h.head - 1) & h.mask
+	h.head = p
+	var b uint64
 	if taken {
-		carry = 1
+		b = 1
 	}
-	for i := range h.bits {
-		next := h.bits[i] >> 63
-		h.bits[i] = h.bits[i]<<1 | carry
-		carry = next
-	}
-	// Mask off bits beyond the configured length.
-	top := h.length % 64
-	if top != 0 {
-		h.bits[len(h.bits)-1] &= (1 << top) - 1
-	}
+	w := &h.bits[p>>6]
+	*w = *w&^(1<<(p&63)) | b<<(p&63)
 }
 
 // Bit returns outcome i (0 = most recent). Out-of-range bits read as 0.
@@ -259,7 +270,46 @@ func (h *History) Bit(i uint) uint64 {
 	if i >= h.length {
 		return 0
 	}
-	return (h.bits[i/64] >> (i % 64)) & 1
+	p := (h.head + i) & h.mask
+	return h.bits[p>>6] >> (p & 63) & 1
+}
+
+// PushFolds records a new outcome as bit 0, as Push does, then advances
+// each packed fold word over this history by the same push: the folds
+// take the outcome in and drop the history bit leaving their window.
+// The ring is read through locals, so the per-table loop is loads,
+// ALU work and one store.
+//
+//bpvet:hotpath
+func (h *History) PushFolds(taken bool, fs []FoldWord) {
+	h.Push(taken)
+	var in uint64
+	if taken {
+		in = 1
+	}
+	ring, head, mask, length := h.bits, h.head, h.mask, h.length
+	for i := range fs {
+		f := &fs[i]
+		var out uint64
+		if l := f.Len(); l < length {
+			p := (head + l) & mask
+			out = ring[p>>6] >> (p & 63) & 1
+		}
+		f.Push(in, out)
+	}
+}
+
+// word returns the 64 ring bits starting at outcome i: outcome i in bit
+// 0, outcome i+63 in bit 63, wrapping around the ring. Bits at or beyond
+// length are not masked.
+func (h *History) word(i uint) uint64 {
+	p := (h.head + i) & h.mask
+	k, off := p>>6, p&63
+	v := h.bits[k] >> off
+	if off != 0 {
+		v |= h.bits[(k+1)&uint(len(h.bits)-1)] << (64 - off)
+	}
+	return v
 }
 
 // Low returns the least significant n bits (n <= 64) as an integer.
@@ -269,11 +319,10 @@ func (h *History) Low(n uint) uint64 {
 	if n > 64 {
 		panic("bitutil: History.Low beyond 64 bits")
 	}
-	v := h.bits[0]
-	if n < 64 {
-		v &= (1 << n) - 1
+	if n > h.length {
+		n = h.length
 	}
-	return v
+	return h.word(0) & Mask(n)
 }
 
 // Reset clears the register.
@@ -283,21 +332,47 @@ func (h *History) Reset() {
 	for i := range h.bits {
 		h.bits[i] = 0
 	}
+	h.head = 0
 }
 
 // Clone returns an independent copy (used to snapshot per-thread state).
 func (h *History) Clone() *History {
-	c := &History{bits: make([]uint64, len(h.bits)), length: h.length}
+	c := *h
+	c.bits = make([]uint64, len(h.bits))
 	copy(c.bits, h.bits)
-	return c
+	return &c
 }
 
-// Snapshot writes the outcome bits (the length is static configuration).
-func (h *History) Snapshot(w *snap.Writer) { w.U64s(h.bits) }
+// snapWords is the word count of the linear snapshot layout.
+func (h *History) snapWords() int { return int((h.length + 63) / 64) }
+
+// Snapshot writes the outcome bits in the shift-register layout (see
+// History); the length is static configuration.
+func (h *History) Snapshot(w *snap.Writer) {
+	n := h.snapWords()
+	w.U32(uint32(n))
+	for k := 0; k < n; k++ {
+		v := h.word(uint(k) * 64)
+		if k == n-1 {
+			v &= Mask(h.length - uint(k)*64)
+		}
+		w.U64(v)
+	}
+}
 
 // Restore replaces the outcome bits. The snapshot must have been taken
-// from a register of the same length.
-func (h *History) Restore(r *snap.Reader) { r.U64sInto(h.bits) }
+// from a register of the same length. Bits at or beyond length are
+// dropped, so corrupt input cannot leave outcomes a live register could
+// never hold.
+func (h *History) Restore(r *snap.Reader) {
+	n := h.snapWords()
+	r.U64sInto(h.bits[:n])
+	for i := n; i < len(h.bits); i++ {
+		h.bits[i] = 0
+	}
+	h.bits[n-1] &= Mask(h.length - uint(n-1)*64)
+	h.head = 0
+}
 
 // Folded maintains a cyclically-folded image of a long history, the
 // standard TAGE trick: an L-bit history is compressed into W bits such
@@ -334,19 +409,8 @@ func NewFolded(origLen, compLen uint) *Folded {
 //
 //bpvet:hotpath
 func (f *Folded) Update(h *History) {
-	f.UpdateBits(h.Bit(0), h.Bit(uint(f.origLen)))
-}
-
-// UpdateBits incorporates a push given the entering bit (history bit 0
-// after the push) and the bit leaving the fold's window (history bit
-// origLen). Predictors that maintain several folds over the same history
-// length — TAGE keeps three per table — read the two bits once and share
-// them across the folds; this is the simulator's hottest loop.
-//
-//bpvet:hotpath
-func (f *Folded) UpdateBits(in, out uint64) {
-	f.comp = (f.comp << 1) | in
-	f.comp ^= out << f.outPoint
+	f.comp = (f.comp << 1) | h.Bit(0)
+	f.comp ^= h.Bit(uint(f.origLen)) << f.outPoint
 	f.comp ^= f.comp >> f.compLen
 	f.comp &= (1 << f.compLen) - 1
 }
@@ -374,30 +438,140 @@ func (f *Folded) Restore(r *snap.Reader) {
 	f.comp = v
 }
 
-// FoldLane advances a contiguous lane of folds by one history push, with
-// one leaving bit per fold. It is the lane-packed form of calling
-// UpdateBits on each fold in turn: TAGE-family predictors keep their folds
-// in three parallel lanes (index, tag-0, tag-1) over the same table order,
-// gather the leaving bits once per push, and run this loop once per lane.
-// The loop body keeps the fold image in a register and touches each Folded
-// exactly once, so a whole lane streams through in a few cache lines.
-// outs[i] is the bit leaving fold i's window (history bit origLen(i)).
+// FoldWord packs the three folds a TAGE tagged table keeps over one
+// history length — the index fold (idxLen bits) and the two tag folds
+// (tagLen and tagLen-1 bits) — into one word, as three lanes with a
+// guard bit above each:
+//
+//	bit 0          o1              o2                          63
+//	[ index | g ]  [ tag-0 | g ]   [ tag-1 | g ]   0 ...
+//
+// One push advances all three lanes at once: the word shifts left, so
+// each lane's top bit moves into its guard; the leaving bit is XORed
+// into each lane's out point; and the guard bits, together with the
+// entering bit, are XORed into each lane's bit 0 while the guards are
+// cleared. Lane by lane this is exactly Folded's update. The index fold
+// is the low idxLen bits of Word, and TagHash lines the two tag folds
+// up as tag-0 ^ tag-1<<1.
+//
+// The three guards move down by three different lane widths. Push moves
+// them all with one 64x64-bit multiply: wrap has bit 64-w set for each
+// lane width w, so the high word of guards*wrap holds every guard bit
+// shifted down by every lane width. Masking with the lanes' bit-0
+// positions keeps the three wanted products; NewFoldWord checks that no
+// other product lands on one of those positions or carries into one.
+type FoldWord struct {
+	c       uint64
+	in      uint64 // bit 0 of each lane
+	out     uint64 // each lane's out point
+	guards  uint64 // the guard bit above each lane
+	wrap    uint64 // bit 64-w for each lane width w
+	origLen uint16
+	w0, w1  uint8 // index and tag-0 lane widths; tag-1 is w1-1 wide
+	o1, o2  uint8 // lane offsets of the tag folds
+}
+
+// NewFoldWord returns the packed folds of one table: origLen history
+// bits folded to idxLen, tagLen and tagLen-1 bits. It panics when the
+// lanes and their guard bits do not fit one word, and on the few
+// geometries — chiefly an index fold exactly twice the tag width — where
+// one of Push's wrap products would land on a lane's bit 0.
+func NewFoldWord(origLen, idxLen, tagLen uint) FoldWord {
+	if idxLen == 0 || tagLen < 2 || idxLen+2*tagLen+2 > 64 {
+		panic("bitutil: packed fold lanes out of range")
+	}
+	if origLen > 1<<16-1 {
+		panic("bitutil: folded history too long")
+	}
+	o1 := idxLen + 1
+	o2 := o1 + tagLen + 1
+	f := FoldWord{
+		origLen: uint16(origLen),
+		w0:      uint8(idxLen), w1: uint8(tagLen),
+		o1: uint8(o1), o2: uint8(o2),
+	}
+	offs := [3]uint{0, o1, o2}
+	widths := [3]uint{idxLen, tagLen, tagLen - 1}
+	for k, w := range widths {
+		f.in |= 1 << offs[k]
+		f.out |= 1 << (offs[k] + origLen%w)
+		f.guards |= 1 << (offs[k] + w)
+		f.wrap |= 1 << (64 - w)
+	}
+	for set := uint(0); set < 8; set++ {
+		var g, want uint64
+		for k := range offs {
+			if set>>k&1 != 0 {
+				g |= 1 << (offs[k] + widths[k])
+				want |= 1 << offs[k]
+			}
+		}
+		if hi, _ := bits.Mul64(g, f.wrap); hi&f.in != want {
+			panic("bitutil: packed fold wrap products collide")
+		}
+	}
+	return f
+}
+
+// Push advances the three folds by one history push, given the entering
+// bit (history bit 0 after the push) and the bit leaving the window
+// (history bit Len after the push), each 0 or 1.
 //
 //bpvet:hotpath
-func FoldLane(fs []Folded, in uint64, outs []uint64) {
-	if len(outs) < len(fs) {
-		panic("bitutil: FoldLane outs shorter than lane")
+func (f *FoldWord) Push(in, out uint64) {
+	c := f.c<<1 ^ f.out&-out
+	g := c & f.guards
+	hi, _ := bits.Mul64(g, f.wrap)
+	f.c = c ^ g ^ (hi^-in)&f.in
+}
+
+// Len returns the folded history length: Push's out is history bit Len.
+//
+//bpvet:hotpath
+func (f *FoldWord) Len() uint { return uint(f.origLen) }
+
+// Word returns the packed word; its low idxLen bits are the index fold.
+//
+//bpvet:hotpath
+func (f *FoldWord) Word() uint64 { return f.c }
+
+// TagHash returns tag-0 ^ tag-1<<1 in its low tagLen bits (the bits
+// above are not masked). Tag-1's lane sits right above tag-0's guard,
+// which is always clear, so one shift puts tag-1 one bit up. The lane
+// offsets are below 64, so masking the shift counts with 63 changes no
+// result; it lets the compiler emit bare shifts.
+//
+//bpvet:hotpath
+func (f *FoldWord) TagHash() uint64 { return f.c>>(f.o1&63) ^ f.c>>((f.o2-1)&63) }
+
+// Lane returns fold k: 0 the index fold, 1 and 2 the tag folds.
+func (f *FoldWord) Lane(k int) uint64 {
+	off, w := f.lane(k)
+	return f.c >> off & Mask(w)
+}
+
+func (f *FoldWord) lane(k int) (off, width uint) {
+	switch k {
+	case 0:
+		return 0, uint(f.w0)
+	case 1:
+		return uint(f.o1), uint(f.w1)
+	case 2:
+		return uint(f.o2), uint(f.w1) - 1
 	}
-	for i := range fs {
-		f := &fs[i]
-		// compLen <= 63 and outPoint < compLen (NewFolded), so masking
-		// the shift counts with 63 changes no result; it lets the
-		// compiler emit bare shifts without the oversized-count fix-ups.
-		c := (f.comp << 1) | in
-		c ^= outs[i] << (f.outPoint & 63)
-		c ^= c >> (f.compLen & 63)
-		f.comp = c & (1<<(f.compLen&63) - 1)
-	}
+	panic("bitutil: fold lane out of range")
+}
+
+// SnapshotLane writes fold k as Folded.Snapshot would. TAGE writes its
+// folds lane by lane, every index fold first, so the snapshot bytes do
+// not depend on how the folds are packed.
+func (f *FoldWord) SnapshotLane(w *snap.Writer, k int) { w.U64(f.Lane(k)) }
+
+// RestoreLane replaces fold k, masked to the lane width as
+// Folded.Restore masks.
+func (f *FoldWord) RestoreLane(r *snap.Reader, k int) {
+	off, w := f.lane(k)
+	f.c = f.c&^(Mask(w)<<off) | (r.U64()&Mask(w))<<off
 }
 
 // Mask returns a value with the low n bits set. n must be <= 64.

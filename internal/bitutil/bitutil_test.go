@@ -1,7 +1,6 @@
 package bitutil
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -293,71 +292,6 @@ func TestZipfRangeProperty(t *testing.T) {
 		r := z.Sample(g)
 		if r < 0 || r >= 50 {
 			t.Fatalf("Zipf sample out of range: %d", r)
-		}
-	}
-}
-
-// foldSerial is the pre-lane-packed update shape: one UpdateBits call
-// per fold, kept as the benchmark baseline FoldLane is measured against.
-func foldSerial(fs []Folded, in uint64, outs []uint64) {
-	for i := range fs {
-		fs[i].UpdateBits(in, outs[i])
-	}
-}
-
-// BenchmarkFoldUpdate compares the lane-packed fold pass against the
-// per-fold baseline at TAGE-like lane widths (the FPGA prototype keeps
-// 7 tables, LTAGE-class configs 12-15).
-func BenchmarkFoldUpdate(b *testing.B) {
-	mkLane := func(n int) ([]Folded, []uint64) {
-		fs := make([]Folded, n)
-		outs := make([]uint64, n)
-		for i := range fs {
-			fs[i] = *NewFolded(uint(5+7*i), uint(10+i%3))
-			outs[i] = uint64(i) & 1
-		}
-		return fs, outs
-	}
-	for _, n := range []int{7, 15} {
-		fs, outs := mkLane(n)
-		b.Run(fmt.Sprintf("lane-%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				FoldLane(fs, uint64(i)&1, outs)
-			}
-		})
-		b.Run(fmt.Sprintf("serial-%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				foldSerial(fs, uint64(i)&1, outs)
-			}
-		})
-	}
-}
-
-// TestFoldLaneMatchesSerial pins the lane-packed pass to the per-fold
-// semantics it replaced, across every lane width TAGE configs use.
-func TestFoldLaneMatchesSerial(t *testing.T) {
-	for _, n := range []int{1, 7, 15} {
-		lane := make([]Folded, n)
-		serial := make([]Folded, n)
-		for i := range lane {
-			f := NewFolded(uint(5+7*i), uint(10+i%3))
-			lane[i], serial[i] = *f, *f
-		}
-		outs := make([]uint64, n)
-		for step := 0; step < 2000; step++ {
-			in := uint64(step>>1) & 1
-			for i := range outs {
-				outs[i] = uint64(step*i) % 2
-			}
-			FoldLane(lane, in, outs)
-			foldSerial(serial, in, outs)
-		}
-		for i := range lane {
-			if lane[i].Value() != serial[i].Value() {
-				t.Fatalf("lane %d of %d: FoldLane %#x != serial %#x", i, n, lane[i].Value(), serial[i].Value())
-			}
 		}
 	}
 }

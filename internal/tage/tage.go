@@ -80,17 +80,15 @@ const ctrBits = 3
 // threadState is the per-hardware-thread speculative state: the raw
 // history register and the folded images used for indexing and tagging.
 //
-// The folds are lane-packed: one flat slice of 3*nTab images laid out as
-// three parallel lanes in table order — index folds in [0, nTab), first
-// tag folds in [nTab, 2*nTab), second tag folds in [2*nTab, 3*nTab). The
-// per-branch fold advance (the simulator's hottest loop) gathers each
-// table's leaving history bit once into outs, then streams each lane
-// through bitutil.FoldLane: three tight register-resident loops over
-// contiguous 16-byte Folded values, with no per-table struct hop.
+// Each tagged table's three folds (index, tag-0, tag-1) share one
+// bitutil.FoldWord, in table order. The per-branch history advance
+// (History.PushFolds, the simulator's hottest loop) writes the outcome
+// into the history ring, then per table reads the one history bit
+// leaving that table's window and advances the table's packed word:
+// O(1) in the history length, and one word of fold state per table.
 type threadState struct {
 	hist  *bitutil.History
-	folds []bitutil.Folded // 3*nTab images in three lanes (idx, t0, t1)
-	outs  []uint64         // per-table leaving-bit scratch for the fold pass
+	folds []bitutil.FoldWord // one packed word per tagged table
 }
 
 // scratch carries the prediction's provider metadata to the update.
@@ -199,13 +197,10 @@ func (t *TAGE) state(th core.HWThread) *threadState {
 	if t.threads[th] == nil {
 		ts := &threadState{
 			hist:  bitutil.NewHistory(t.maxHist() + 1),
-			folds: make([]bitutil.Folded, 3*t.nTab),
-			outs:  make([]uint64, t.nTab),
+			folds: make([]bitutil.FoldWord, t.nTab),
 		}
-		for i := 0; i < t.nTab; i++ {
-			ts.folds[i] = *bitutil.NewFolded(t.cfg.HistLengths[i], t.cfg.TableBits[i])
-			ts.folds[t.nTab+i] = *bitutil.NewFolded(t.cfg.HistLengths[i], t.cfg.TagBits[i])
-			ts.folds[2*t.nTab+i] = *bitutil.NewFolded(t.cfg.HistLengths[i], t.cfg.TagBits[i]-1)
+		for i := range ts.folds {
+			ts.folds[i] = bitutil.NewFoldWord(t.cfg.HistLengths[i], t.cfg.TableBits[i], t.cfg.TagBits[i])
 		}
 		t.threads[th] = ts
 		t.scratch[th] = &scratch{
@@ -242,21 +237,23 @@ func (t *TAGE) Predict(d core.Domain, pc uint64) bool {
 	// and alternate training, the usefulness update, and allocation
 	// (which only touches tables above the provider) — reads entries the
 	// scan visited, so the skipped hashes are provably dead. The hash and
-	// the table read are inline: the pc term and the three fold lanes are
-	// hoisted out of the loop, and a table whose codec allows it is read
-	// through its store.Reader with no call. pcFold is at most the table's
-	// index width, so masking it with 63 changes no shift; it only spares
-	// the compiler's oversized-shift fix-up.
+	// the table read are inline: the pc term is hoisted out of the loop,
+	// the index fold is the low bits of the table's packed fold word (the
+	// index mask drops the tag lanes above it), and a table whose codec
+	// allows it is read through its store.Reader with no call. pcFold is
+	// at most the table's index width, so masking it with 63 changes no
+	// shift; it only spares the compiler's oversized-shift fix-up.
 	s.provider, s.altTable = -1, -1
 	s.usedAlt = false
 	p := pc >> pcShift
 	n := t.nTab
-	idxFolds, t0Folds, t1Folds := ts.folds[:n], ts.folds[n:2*n], ts.folds[2*n:3*n]
+	folds := ts.folds[:n]
 	indexes, tags := s.indexes[:n], s.tags[:n]
 	for i := n - 1; i >= 0; i-- {
 		tb := &t.tabs[i]
-		idx := tb.guard.ScrambleIndex((p^(p>>(tb.pcFold&63))^idxFolds[i].Value())&tb.idxMask, d, tb.bits)
-		want := (p ^ t0Folds[i].Value() ^ (t1Folds[i].Value() << 1)) & tb.tagMask
+		f := &folds[i]
+		idx := tb.guard.ScrambleIndex((p^(p>>(tb.pcFold&63))^f.Word())&tb.idxMask, d, tb.bits)
+		want := (p ^ f.TagHash()) & tb.tagMask
 		indexes[i], tags[i] = idx, want
 		var w uint64
 		if rd, ok := tb.arr.Reader(d); ok {
@@ -365,27 +362,10 @@ func (t *TAGE) Update(d core.Domain, pc uint64, taken bool) {
 		t.ageUsefulness()
 	}
 
-	// Advance history: raw register first, then the folded images. The
-	// leaving bits are gathered once per table, then the three fold lanes
-	// stream through FoldLane back to back — the lane-packed form of the
-	// per-table triple update (see threadState).
-	ts.hist.Push(taken)
-	in := b2u64(taken)
-	outs := ts.outs
-	for i := 0; i < t.nTab; i++ {
-		outs[i] = ts.hist.Bit(t.cfg.HistLengths[i])
-	}
-	n := t.nTab
-	bitutil.FoldLane(ts.folds[:n], in, outs)
-	bitutil.FoldLane(ts.folds[n:2*n], in, outs)
-	bitutil.FoldLane(ts.folds[2*n:], in, outs)
-}
-
-func b2u64(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
+	// Advance history: the outcome goes into the history ring, and each
+	// table's packed folds take it in and drop the bit leaving the table's
+	// window (see threadState).
+	ts.hist.PushFolds(taken, ts.folds)
 }
 
 func (t *TAGE) updateBase(d core.Domain, s *scratch, taken bool) {
@@ -488,8 +468,12 @@ func (t *TAGE) Snapshot(w *snap.Writer) {
 			continue
 		}
 		ts.hist.Snapshot(w)
-		for i := range ts.folds {
-			ts.folds[i].Snapshot(w)
+		// Lane by lane: every index fold, then every tag-0 fold, then
+		// every tag-1 fold, so the bytes do not depend on the packing.
+		for k := 0; k < 3; k++ {
+			for i := range ts.folds {
+				ts.folds[i].SnapshotLane(w, k)
+			}
 		}
 	}
 }
@@ -517,8 +501,10 @@ func (t *TAGE) Restore(r *snap.Reader) {
 		}
 		ts := t.state(core.HWThread(th))
 		ts.hist.Restore(r)
-		for i := range ts.folds {
-			ts.folds[i].Restore(r)
+		for k := 0; k < 3; k++ {
+			for i := range ts.folds {
+				ts.folds[i].RestoreLane(r, k)
+			}
 		}
 	}
 }
