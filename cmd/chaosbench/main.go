@@ -11,20 +11,22 @@
 //
 // Scenarios:
 //
-//	serial   fault-free reference renders (Figure 1 and the re-key sweep)
-//	push     bpserve fleet behind a fault-injecting transport (timeouts,
-//	         resets, 5xx, slow), circuit breakers and in-process
-//	         degradation armed, plus cache write corruption — reopened
-//	         stores must quarantine exactly the corrupted entries
-//	pull     pull-queue fleet with worker crashes mid-lease, dropped
-//	         heartbeats and duplicate completions; sweep journal attached,
-//	         then replayed into a fresh executor (zero re-simulation)
-//	restart  the pull leader is killed mid-sweep at a plan-scheduled
-//	         point; a restarted leader resumes from the journal, workers
-//	         rejoin, and only the remainder is simulated
-//	snap     snapshot prefix blobs corrupted on write; the re-key sweep
-//	         must fall back to cold simulation with identical results,
-//	         and a reopened snapshot store must quarantine the blob
+//	serial    fault-free reference renders (Figure 1 and the re-key sweep)
+//	transport pull fleet whose workers reach the leader through a
+//	          fault-injecting transport (timeouts, resets, 5xx, slow on
+//	          claims and completions), plus cache write corruption on
+//	          the leader's store — reopened stores must quarantine
+//	          exactly the corrupted entries
+//	pull      pull-queue fleet with worker crashes mid-lease, dropped
+//	          heartbeats and duplicate completions; sweep journal
+//	          attached, then replayed into a fresh executor (zero
+//	          re-simulation)
+//	restart   the pull leader is killed mid-sweep at a plan-scheduled
+//	          point; a restarted leader resumes from the journal,
+//	          workers rejoin, and only the remainder is simulated
+//	snap      snapshot prefix blobs corrupted on write; the re-key sweep
+//	          must fall back to cold simulation with identical results,
+//	          and a reopened snapshot store must quarantine the blob
 //
 // -check exits 1 on any divergence or failed invariant (CI runs this as
 // the chaos-smoke gate). The plan file is committed, so a CI failure
@@ -48,14 +50,13 @@ import (
 	"xorbp/internal/experiment"
 	"xorbp/internal/fleet"
 	"xorbp/internal/runcache"
-	"xorbp/internal/serve"
 	"xorbp/internal/wire"
 )
 
 func main() {
 	planPath := flag.String("plan", "CHAOS_PLAN.json", "FaultPlan JSON file driving every scenario")
 	scaleName := flag.String("scale", "micro", "workload scale: micro or bench")
-	fleetN := flag.Int("fleet", 3, "fleet size (serve workers / pull workers)")
+	fleetN := flag.Int("fleet", 3, "fleet size (pull workers)")
 	capacity := flag.Int("cap", 4, "simulation slots per fleet member")
 	check := flag.Bool("check", false, "exit 1 on any divergence or failed invariant")
 	flag.Parse()
@@ -88,7 +89,7 @@ func main() {
 	serialRekey := h.mustRenderRekey(experiment.NewExecutor(1))
 	fmt.Println("serial: reference renders done")
 
-	h.push(serialFig)
+	h.transport(serialFig)
 	h.pull(serialFig)
 	h.restart(serialFig)
 	h.snap(serialRekey)
@@ -162,80 +163,65 @@ func (h *harness) tempDir(pattern string) string {
 	return dir
 }
 
-// member is one in-process bpserve worker on a loopback listener.
-type member struct {
-	srv  *serve.Server
-	addr string
-	hs   *http.Server
-}
-
-func (h *harness) startMembers() []member {
-	members := make([]member, h.n)
-	for i := range members {
-		srv := serve.New(h.cap, nil)
-		srv.SetBackend(experiment.LocalBackend{})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaosbench: %v\n", err)
-			os.Exit(1)
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go func() { _ = hs.Serve(ln) }()
-		members[i] = member{srv: srv, addr: ln.Addr().String(), hs: hs}
-	}
-	return members
-}
-
-func stopMembers(members []member) {
-	for _, m := range members {
-		_ = m.hs.Close()
-	}
-}
-
-// push: transport faults against a real HTTP fleet, with circuit
-// breakers, in-process degradation and cache write corruption all armed.
-func (h *harness) push(serial string) {
-	inj := h.injector()
-	members := h.startMembers()
-	defer stopMembers(members)
-	addrs := make([]string, len(members))
-	for i, m := range members {
-		addrs[i] = m.addr
-	}
-
-	client := wire.NewClient(addrs)
-	client.SetTransport(chaos.NewTransport(inj, nil))
-	// Collapse the retry backoff: chaosbench measures invariants, not
-	// wall time, and injected timeouts would otherwise cost seconds.
-	client.SetSleep(func(ctx context.Context, _ time.Duration) error { return ctx.Err() })
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	err := client.Probe(ctx)
-	cancel()
+// serveLeader serves leader on a loopback listener and returns the
+// address pull workers claim from, plus the function that stops the
+// listener.
+func serveLeader(leader *fleet.Leader) (addr string, stop func()) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		h.failf("push: probe: %v", err)
-		return
+		fmt.Fprintf(os.Stderr, "chaosbench: %v\n", err)
+		os.Exit(1)
+	}
+	hs := &http.Server{Handler: leader.Handler()}
+	go func() { _ = hs.Serve(ln) }()
+	return ln.Addr().String(), func() { _ = hs.Close() }
+}
+
+// transport: claim and completion faults between pull workers and the
+// leader, with cache write corruption armed on the leader's store.
+func (h *harness) transport(serial string) {
+	inj := h.injector()
+	// A short lease keeps the steal of a lost completion fast.
+	q := fleet.NewQueue(500*time.Millisecond, time.Now)
+	leader := fleet.NewLeader(q, "")
+	addr, stop := serveLeader(leader)
+	defer stop()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for i := range h.n {
+		w := fleet.NewPullWorker(addr, fmt.Sprintf("transport-%d", i),
+			experiment.LocalBackend{}, nil, h.cap, h.cap)
+		w.SetTransport(chaos.NewTransport(inj, w.Transport()))
+		go func() { _ = w.Run(ctx) }()
 	}
 
-	dir := h.tempDir("chaosbench-push-*")
+	dir := h.tempDir("chaosbench-transport-*")
 	defer os.RemoveAll(dir)
 	st, err := runcache.Open(dir, experiment.SchemaVersion())
 	if err != nil {
-		h.failf("push: %v", err)
+		h.failf("transport: %v", err)
 		return
 	}
 	st.SetFileFault(chaos.NewCacheFaults(inj))
 
-	exec := experiment.NewExecutorWith(client.Workers(), driver.NewFallback("chaosbench", client))
+	exec := experiment.NewExecutorWith(h.n*h.cap, leader.Backend())
 	exec.SetStore(st)
 	render := h.mustRender(exec)
 	if render != serial {
-		h.failf("push: render diverged from serial under transport+cache faults")
+		h.failf("transport: render diverged from serial under transport+cache faults")
 	}
 
 	counts := inj.Counts()
+	var fired uint64
+	for _, f := range []chaos.Fault{chaos.Timeout{}, chaos.Reset{}, chaos.HTTP500{}, chaos.Slow{}} {
+		fired += counts[f.Seam()+"/"+f.Name()]
+	}
+	if fired == 0 {
+		h.failf("transport: no transport fault fired — the scenario exercised nothing")
+	}
 	corrupted := int(counts["cachefile/bitflip"] + counts["cachefile/truncate"])
 	if got := st.Stats().PutErrors; got != int(counts["cachefile/enospc"]) {
-		h.failf("push: %d put errors, want %d (one per injected enospc)", got, counts["cachefile/enospc"])
+		h.failf("transport: %d put errors, want %d (one per injected enospc)", got, counts["cachefile/enospc"])
 	}
 
 	// Reopen the cache: every corrupted file must be quarantined, and a
@@ -243,23 +229,23 @@ func (h *harness) push(serial string) {
 	// entries (corrupted + never-written) and still match serial.
 	st2, err := runcache.Open(dir, experiment.SchemaVersion())
 	if err != nil {
-		h.failf("push: reopen: %v", err)
+		h.failf("transport: reopen: %v", err)
 		return
 	}
 	if got := st2.Stats().Quarantined; got != corrupted {
-		h.failf("push: reopen quarantined %d entries, want %d (bitflip+truncate fires)", got, corrupted)
+		h.failf("transport: reopen quarantined %d entries, want %d (bitflip+truncate fires)", got, corrupted)
 	}
 	warm := experiment.NewExecutorWith(4, experiment.LocalBackend{})
 	warm.SetStore(st2)
 	if h.mustRender(warm) != serial {
-		h.failf("push: warm render from quarantine-swept cache diverged")
+		h.failf("transport: warm render from quarantine-swept cache diverged")
 	}
 	lost := corrupted + int(counts["cachefile/enospc"])
 	if int(warm.Runs()) != lost {
-		h.failf("push: warm render simulated %d cells, want %d (corrupted+enospc)", warm.Runs(), lost)
+		h.failf("transport: warm render simulated %d cells, want %d (corrupted+enospc)", warm.Runs(), lost)
 	}
-	fmt.Printf("push: identical; breakers open at end: %d; warm pass re-simulated %d lost entries; faults: %v\n",
-		client.OpenCircuits(), lost, inj.CountLines())
+	fmt.Printf("transport: identical; %d transport faults absorbed (stolen=%d); warm pass re-simulated %d lost entries; faults: %v\n",
+		fired, q.Stats().Stolen, lost, inj.CountLines())
 }
 
 // pull: worker-lifecycle faults against a real pull queue, with the
@@ -270,21 +256,15 @@ func (h *harness) pull(serial string) {
 	// slowest simulation is far under it.
 	q := fleet.NewQueue(500*time.Millisecond, time.Now)
 	leader := fleet.NewLeader(q, "")
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaosbench: %v\n", err)
-		os.Exit(1)
-	}
-	hs := &http.Server{Handler: leader.Handler()}
-	go func() { _ = hs.Serve(ln) }()
-	defer hs.Close()
+	addr, stop := serveLeader(leader)
+	defer stop()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ff := chaos.NewFleetFaults(inj)
 	workers := make([]*fleet.PullWorker, h.n)
 	for i := range workers {
-		w := fleet.NewPullWorker(ln.Addr().String(), fmt.Sprintf("chaos-%d", i),
+		w := fleet.NewPullWorker(addr, fmt.Sprintf("chaos-%d", i),
 			experiment.LocalBackend{}, nil, h.cap, h.cap)
 		w.SetFaults(ff)
 		workers[i] = w
@@ -387,18 +367,12 @@ func (h *harness) restart(serial string) {
 	runPass := func(resume bool) (done, primed int, runs uint64, execErr error) {
 		q := fleet.NewQueue(500*time.Millisecond, time.Now)
 		leader := fleet.NewLeader(q, "")
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaosbench: %v\n", err)
-			os.Exit(1)
-		}
-		hs := &http.Server{Handler: leader.Handler()}
-		go func() { _ = hs.Serve(ln) }()
-		defer hs.Close()
+		addr, stop := serveLeader(leader)
+		defer stop()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		for i := range h.n {
-			w := fleet.NewPullWorker(ln.Addr().String(), fmt.Sprintf("restart-%d", i),
+			w := fleet.NewPullWorker(addr, fmt.Sprintf("restart-%d", i),
 				experiment.LocalBackend{}, nil, h.cap, h.cap)
 			go func() { _ = w.Run(ctx) }()
 		}

@@ -1,20 +1,18 @@
-// Command fleetbench measures the fleet dispatch policies against each
+// Command fleetbench measures the sweep dispatch policies against each
 // other and writes the evidence behind STRATEGY_LEDGER.md.
 //
 // Usage:
 //
 //	fleetbench [-scale micro|bench] [-fleet 3] [-cap 4]
-//	           [-skew 0] [-policies serial,shard,...] [-repeat]
-//	           [-statz-interval 50ms] [-check]
+//	           [-skew 0] [-policies serial,shard,pull] [-repeat] [-check]
 //
 // Every policy resolves the same workload — the full Figure 1 grid —
-// on the same in-process fleet: N bpserve workers (real HTTP, real
-// wire protocol) for the push policies, N pull workers against a
-// leader queue for `pull`, N store-sharing shard processes for
-// `shard`, and a single local executor for `serial`. -skew slows the
-// last fleet member by the given per-simulation delay, turning the
-// uniform fleet into the straggler fleet the adaptive policies exist
-// for.
+// on the same in-process fleet: N pull workers (real HTTP, real queue
+// protocol) against a leader queue for `pull`, N store-sharing shard
+// processes for `shard`, and a single local executor for `serial`.
+// -skew slows the last fleet member by the given per-simulation delay,
+// turning the uniform fleet into the straggler fleet pull dispatch
+// exists for.
 //
 // For each policy it reports wall time, speedup over serial, and the
 // per-member simulation distribution, and it verifies that the
@@ -22,7 +20,7 @@
 // policy must never be observable in results. -check exits 1 on any
 // divergence (CI runs this gate). -repeat runs the figure a second
 // time on the same warm fleet (fresh executor, workers keep their
-// stores), which is where runcache-affinity routing earns its keep.
+// store).
 package main
 
 import (
@@ -38,9 +36,12 @@ import (
 	"xorbp/internal/experiment"
 	"xorbp/internal/fleet"
 	"xorbp/internal/runcache"
-	"xorbp/internal/serve"
 	"xorbp/internal/wire"
 )
+
+// policies lists every dispatch strategy fleetbench measures, in
+// ledger order.
+var policies = []string{"serial", "shard", "pull"}
 
 func main() {
 	var (
@@ -48,9 +49,8 @@ func main() {
 		fleetN    = flag.Int("fleet", 3, "fleet size (workers / shards)")
 		capacity  = flag.Int("cap", 4, "simulation slots per fleet member")
 		skew      = flag.Duration("skew", 0, "per-simulation delay on the last fleet member (0 = uniform fleet)")
-		policies  = flag.String("policies", strings.Join(fleet.LedgerPolicies(), ","), "comma-separated policies to measure")
+		only      = flag.String("policies", strings.Join(policies, ","), "comma-separated policies to measure")
 		repeat    = flag.Bool("repeat", false, "run the figure twice on the same warm fleet (second pass exercises the stores)")
-		statzEach = flag.Duration("statz-interval", 50*time.Millisecond, "statz poll interval for the leastloaded policy")
 		check     = flag.Bool("check", false, "exit 1 if any policy's render differs from serial")
 	)
 	flag.Parse()
@@ -71,12 +71,11 @@ func main() {
 	}
 
 	b := &bench{
-		scale:     scale,
-		n:         *fleetN,
-		cap:       *capacity,
-		skew:      *skew,
-		repeat:    *repeat,
-		statzEach: *statzEach,
+		scale:  scale,
+		n:      *fleetN,
+		cap:    *capacity,
+		skew:   *skew,
+		repeat: *repeat,
 	}
 
 	fmt.Printf("# fleetbench: %d members x %d slots, scale %s, skew %s\n\n",
@@ -85,7 +84,7 @@ func main() {
 	serial := b.serial()
 	rows := []row{serial}
 	diverged := false
-	for _, p := range strings.Split(*policies, ",") {
+	for _, p := range strings.Split(*only, ",") {
 		p = strings.TrimSpace(p)
 		if p == "" || p == "serial" {
 			continue
@@ -118,11 +117,10 @@ type row struct {
 }
 
 type bench struct {
-	scale     experiment.Scale
-	n, cap    int
-	skew      time.Duration
-	repeat    bool
-	statzEach time.Duration
+	scale  experiment.Scale
+	n, cap int
+	skew   time.Duration
+	repeat bool
 }
 
 // backendFor returns the local backend for fleet member i, throttled
@@ -163,105 +161,11 @@ func (b *bench) run(policy string, serial row) row {
 		return b.runShard(serial)
 	case "pull":
 		return b.runPull(serial)
-	default:
-		if _, ok := fleet.ScorerByName(policy); !ok {
-			fmt.Fprintf(os.Stderr, "fleetbench: unknown policy %q (have %s)\n",
-				policy, strings.Join(fleet.LedgerPolicies(), ", "))
-			os.Exit(2)
-		}
-		return b.runPush(policy, serial)
 	}
-}
-
-// member is one in-process bpserve worker on a real loopback listener.
-type member struct {
-	srv  *serve.Server
-	addr string
-	hs   *http.Server
-}
-
-func (b *bench) startMembers() []member {
-	members := make([]member, b.n)
-	for i := range members {
-		var store *runcache.Store
-		if b.repeat {
-			dir, err := os.MkdirTemp("", "fleetbench-store-*")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fleetbench: %v\n", err)
-				os.Exit(1)
-			}
-			defer os.RemoveAll(dir)
-			store, err = runcache.Open(dir, wire.SchemaVersion())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fleetbench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		srv := serve.New(b.cap, store)
-		srv.SetBackend(b.backendFor(i))
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleetbench: %v\n", err)
-			os.Exit(1)
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go func() { _ = hs.Serve(ln) }()
-		members[i] = member{srv: srv, addr: ln.Addr().String(), hs: hs}
-	}
-	return members
-}
-
-func stopMembers(members []member) {
-	for _, m := range members {
-		_ = m.hs.Close()
-	}
-}
-
-func (b *bench) runPush(policy string, serial row) row {
-	members := b.startMembers()
-	defer stopMembers(members)
-	addrs := make([]string, len(members))
-	for i, m := range members {
-		addrs[i] = m.addr
-	}
-
-	client := wire.NewClient(addrs)
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	if err := client.Probe(ctx); err != nil {
-		cancel()
-		fmt.Fprintf(os.Stderr, "fleetbench: probe: %v\n", err)
-		os.Exit(1)
-	}
-	cancel()
-
-	scorer, _ := fleet.ScorerByName(policy)
-	router := fleet.NewRouter(client, scorer)
-	router.Install()
-	if policy == (fleet.LeastLoaded{}).Name() {
-		pollCtx, stopPoll := context.WithCancel(context.Background())
-		defer stopPoll()
-		go router.Poll(pollCtx, b.statzEach)
-	}
-
-	start := time.Now()
-	render := b.render(experiment.NewExecutorWith(client.Workers(), client))
-	r := row{policy: policy, wall: time.Since(start), render: render,
-		identical: render == serial.render}
-	for _, m := range members {
-		r.dist = append(r.dist, m.srv.Runs())
-	}
-	if b.repeat {
-		start = time.Now()
-		warm := b.render(experiment.NewExecutorWith(client.Workers(), client))
-		r.warmWall = time.Since(start)
-		if warm != serial.render {
-			r.identical = false
-		}
-		for _, m := range members {
-			r.replays += m.srv.Replays()
-		}
-	}
-	return r
+	fmt.Fprintf(os.Stderr, "fleetbench: unknown policy %q (have %s)\n",
+		policy, strings.Join(policies, ", "))
+	os.Exit(2)
+	return row{}
 }
 
 func (b *bench) runPull(serial row) row {

@@ -1,13 +1,15 @@
 // Package chaos is the seeded, fully deterministic fault-injection
-// layer behind `bpsim/attacksim -chaos` and cmd/chaosbench. It threads
-// synthetic failures through the engine's existing seams — the wire
-// client's HTTP transport (timeouts, connection resets, 5xx, slow
-// responses), the run cache's file writes (bit flips, truncation,
-// ENOSPC), the snapshot store's prefix blobs (corruption), and the
-// pull fleet's worker loop (crash mid-lease, heartbeat loss, duplicate
-// completions, leader restart) — without those packages ever importing
-// this one: each seam exposes a small hook interface (http.RoundTripper,
-// runcache.FileFault, fleet.WorkerFaults) that chaos implements.
+// layer behind `bpsim/attacksim -chaos` (run-cache faults) and
+// cmd/chaosbench (every seam). It threads synthetic failures through
+// the engine's existing seams — a pull worker's HTTP transport to the
+// leader (timeouts, connection resets, 5xx, slow responses on claims
+// and completions), the run cache's file writes (bit flips,
+// truncation, ENOSPC), the snapshot store's prefix blobs (corruption),
+// and the pull fleet's worker loop (crash mid-lease, heartbeat loss,
+// duplicate completions, leader restart) — without those packages ever
+// importing this one: each seam exposes a small hook interface
+// (http.RoundTripper, runcache.FileFault, fleet.WorkerFaults) that
+// chaos implements.
 //
 // Every decision flows from a FaultPlan: a seed plus per-fault rules.
 // Each rule owns an independent SplitMix64 stream derived from the plan
@@ -22,7 +24,7 @@ package chaos
 // appear in reports and documentation; injection sites consult concrete
 // fault kinds, not seams.
 const (
-	SeamTransport = "transport" // wire.Client HTTP dispatch
+	SeamTransport = "transport" // pull worker claims and completions
 	SeamCacheFile = "cachefile" // runcache entry writes
 	SeamSnapshot  = "snapshot"  // snapshot-store prefix blobs
 	SeamFleet     = "fleet"     // pull-queue worker/leader lifecycle
@@ -36,30 +38,29 @@ type Fault interface {
 	Seam() string
 }
 
-// Timeout makes a dispatched request fail with a timeout-shaped
-// network error before reaching the worker.
+// Timeout makes a claim or completion fail with a timeout-shaped
+// network error before reaching the leader.
 type Timeout struct{}
 
 func (Timeout) Name() string { return "timeout" }
 func (Timeout) Seam() string { return SeamTransport }
 
-// Reset makes a dispatched request fail as if the peer reset the
+// Reset makes a claim or completion fail as if the peer reset the
 // connection mid-exchange.
 type Reset struct{}
 
 func (Reset) Name() string { return "reset" }
 func (Reset) Seam() string { return SeamTransport }
 
-// HTTP500 answers a dispatched request with a synthesized 500 instead
-// of forwarding it — the worker never sees the spec.
+// HTTP500 answers a claim or completion with a synthesized 500 instead
+// of forwarding it — the leader never sees the request.
 type HTTP500 struct{}
 
 func (HTTP500) Name() string { return "http500" }
 func (HTTP500) Seam() string { return SeamTransport }
 
-// Slow delays a dispatched request before forwarding it, modeling a
-// straggling worker or congested link. The response is otherwise
-// untouched.
+// Slow delays a claim or completion before forwarding it, modeling a
+// congested link. The response is otherwise untouched.
 type Slow struct{}
 
 func (Slow) Name() string { return "slow" }

@@ -202,9 +202,10 @@ func (e *echoTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // TestTransportFaults: each transport fault surfaces with its intended
-// shape — Timeout as a net.Error timeout, Reset as an error, HTTP500 as
-// a synthesized 500 (inner transport never sees the request), Slow as a
-// recorded sleep before an untouched forward.
+// shape on the queue's work traffic — Timeout as a net.Error timeout,
+// Reset as an error, HTTP500 as a synthesized 500 (inner transport
+// never sees the request), Slow as a recorded sleep before an untouched
+// forward — while health, heartbeat and nack requests pass through.
 func TestTransportFaults(t *testing.T) {
 	mustReq := func(path string) *http.Request {
 		req, err := http.NewRequest(http.MethodPost, "http://worker"+path, strings.NewReader("{}"))
@@ -226,7 +227,7 @@ func TestTransportFaults(t *testing.T) {
 	}
 
 	tr, inner, _ := newT(Rule{Fault: "timeout", Rate: 1, Count: 1})
-	_, err := tr.RoundTrip(mustReq("/run"))
+	_, err := tr.RoundTrip(mustReq("/queue/claim"))
 	var ne net.Error
 	if !errors.As(err, &ne) || !ne.Timeout() {
 		t.Fatalf("timeout fault returned %v, want a net.Error timeout", err)
@@ -234,17 +235,17 @@ func TestTransportFaults(t *testing.T) {
 	if inner.hits != 0 {
 		t.Fatal("timeout fault still forwarded the request")
 	}
-	if resp, err := tr.RoundTrip(mustReq("/run")); err != nil || resp.StatusCode != 200 {
+	if resp, err := tr.RoundTrip(mustReq("/queue/claim")); err != nil || resp.StatusCode != 200 {
 		t.Fatalf("count-1 rule kept firing: %v %v", resp, err)
 	}
 
 	tr, inner, _ = newT(Rule{Fault: "reset", Rate: 1, Count: 1})
-	if _, err := tr.RoundTrip(mustReq("/run")); err == nil || !strings.Contains(err.Error(), "reset") {
+	if _, err := tr.RoundTrip(mustReq("/queue/claim")); err == nil || !strings.Contains(err.Error(), "reset") {
 		t.Fatalf("reset fault returned %v", err)
 	}
 
 	tr, inner, _ = newT(Rule{Fault: "http500", Rate: 1, Count: 1})
-	resp, err := tr.RoundTrip(mustReq("/run"))
+	resp, err := tr.RoundTrip(mustReq("/queue/complete"))
 	if err != nil || resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("http500 fault returned %v, %v", resp, err)
 	}
@@ -253,7 +254,7 @@ func TestTransportFaults(t *testing.T) {
 	}
 
 	tr, inner, slept := newT(Rule{Fault: "slow", Rate: 1, Count: 1})
-	if resp, err := tr.RoundTrip(mustReq("/run")); err != nil || resp.StatusCode != 200 {
+	if resp, err := tr.RoundTrip(mustReq("/queue/claim")); err != nil || resp.StatusCode != 200 {
 		t.Fatalf("slow fault broke the forward: %v %v", resp, err)
 	}
 	if inner.hits != 1 || len(*slept) != 1 {
@@ -261,13 +262,18 @@ func TestTransportFaults(t *testing.T) {
 	}
 
 	// Control traffic is exempt: the same always-fire rule never touches
-	// a health probe.
+	// a health probe, a heartbeat or a nack.
 	tr, inner, _ = newT(Rule{Fault: "timeout", Rate: 1})
-	if _, err := tr.RoundTrip(mustReq("/healthz")); err != nil {
-		t.Fatalf("fault injected on /healthz: %v", err)
+	for i, path := range []string{"/healthz", "/queue/heartbeat", "/queue/nack"} {
+		if _, err := tr.RoundTrip(mustReq(path)); err != nil {
+			t.Fatalf("fault injected on %s: %v", path, err)
+		}
+		if inner.hits != i+1 {
+			t.Fatalf("%s did not pass through", path)
+		}
 	}
-	if inner.hits != 1 {
-		t.Fatal("/healthz did not pass through")
+	if _, err := tr.RoundTrip(mustReq("/queue/complete")); err == nil {
+		t.Fatal("always-fire timeout spared a completion")
 	}
 }
 

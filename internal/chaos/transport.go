@@ -14,11 +14,13 @@ import (
 const slowDelay = 50 * time.Millisecond
 
 // Transport is an http.RoundTripper that injects transport faults in
-// front of an inner transport. Install it with wire.Client.SetTransport
-// (bpsim -chaos does). Only dispatch requests (POST /run) are eligible:
-// health probes and control traffic pass through untouched, so a
-// chaos'd client still connects and the faults land where retry,
-// failover and the circuit breaker must absorb them.
+// front of an inner transport. Install it on a pull worker with
+// fleet.PullWorker.SetTransport (cmd/chaosbench does). Only the queue
+// protocol's work traffic is eligible — claims and completions; health
+// probes, heartbeats and nacks pass through untouched (HeartbeatLoss
+// is the heartbeat fault). The faults land where the worker's claim
+// retry and the queue's lease expiry must absorb them: a failed claim
+// is retried, a lost completion is stolen once its lease lapses.
 type Transport struct {
 	inner http.RoundTripper
 	inj   *Injector
@@ -54,7 +56,7 @@ func (timeoutError) Temporary() bool { return true }
 // RoundTrip applies at most one injected fault per dispatch, in fixed
 // precedence (timeout, reset, 500, slow), then forwards.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Path != "/run" {
+	if p := req.URL.Path; p != "/queue/claim" && p != "/queue/complete" {
 		return t.inner.RoundTrip(req)
 	}
 	switch {
@@ -81,7 +83,7 @@ func closeReqBody(req *http.Request) {
 	}
 }
 
-// synthesize500 fabricates the 500 a crashing worker would have sent.
+// synthesize500 fabricates the 500 a crashing leader would have sent.
 func synthesize500(req *http.Request) *http.Response {
 	body := `{"error":"chaos: injected internal server error"}`
 	h := make(http.Header)

@@ -18,15 +18,14 @@ func TestParseShardUnsharded(t *testing.T) {
 func TestConnectLocal(t *testing.T) {
 	conn := Connect(ConnectOptions{Prog: "test", Workers: 7, WorkersSet: true})
 	defer conn.Close()
-	if conn.Backend != nil || conn.Client != nil {
+	if conn.Backend != nil {
 		t.Fatal("local connect returned a remote backend")
 	}
 	if conn.PoolSize != 7 || conn.Name != "local" {
 		t.Fatalf("local connect = (%d, %q), want (7, local)", conn.PoolSize, conn.Name)
 	}
-	if conn.Policy != "" || conn.WorkerCached() != 0 || conn.Queue() != nil {
-		t.Fatalf("local conn carries fleet state: policy %q, worker-cached %d",
-			conn.Policy, conn.WorkerCached())
+	if conn.WorkerCached() != 0 {
+		t.Fatalf("local conn carries fleet state: worker-cached %d", conn.WorkerCached())
 	}
 }
 

@@ -27,7 +27,7 @@ const journalFormat = "xorbp-sweep/1"
 // self-contained: it needs neither the run cache nor the fleet that
 // computed the originals — bpsim -resume primes the executor from the
 // journal and simulates only the remainder, in every topology
-// (in-process, push, pull leader).
+// (in-process or pull leader).
 //
 // Journal implements experiment.JournalSink.
 type Journal struct {

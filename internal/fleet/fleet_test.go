@@ -60,7 +60,14 @@ func simSpec(i int) wire.Spec {
 // the host:port a bpserve -pull worker would be pointed at.
 func startLeader(t *testing.T, q *Queue) string {
 	t.Helper()
-	ts := httptest.NewServer(NewLeader(q, "").Handler())
+	return serveLeader(t, NewLeader(q, ""))
+}
+
+// serveLeader serves leader until the test ends and returns its
+// host:port.
+func serveLeader(t *testing.T, leader *Leader) string {
+	t.Helper()
+	ts := httptest.NewServer(leader.Handler())
 	t.Cleanup(ts.Close)
 	return strings.TrimPrefix(ts.URL, "http://")
 }
@@ -300,6 +307,58 @@ func TestPullDrainNacks(t *testing.T) {
 	}
 }
 
+// TestPullWorkerDrainStopsClaiming: a worker drained between polls
+// leaves without claiming the spec that arrived meanwhile — the spec
+// stays pending, unleased, and a successor resolves it byte-identical
+// to serial.
+func TestPullWorkerDrainStopsClaiming(t *testing.T) {
+	q := NewQueue(0, time.Now)
+	addr := startLeader(t, q)
+
+	idle, resume := make(chan struct{}), make(chan struct{})
+	w := NewPullWorker(addr, "drainer", experiment.LocalBackend{}, nil, 1, 1)
+	var once sync.Once
+	w.SetSleep(func(ctx context.Context, _ time.Duration) error {
+		once.Do(func() { close(idle) })
+		select {
+		case <-resume:
+		case <-ctx.Done():
+		}
+		return ctx.Err()
+	})
+	done := make(chan error, 1)
+	go func() { done <- w.Run(context.Background()) }()
+
+	<-idle // the worker found the queue empty and is waiting to poll again
+	resc, errc := submitAsync(q, simSpec(0))
+	waitPending(t, q, 1)
+	w.Drain()
+	close(resume)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("drained worker returned %v, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("drained worker kept polling: claimed %d batches, ran %d specs", w.Claims(), w.Runs())
+	}
+	if w.Claims() != 0 || w.Runs() != 0 {
+		t.Fatalf("drained worker claimed %d batches and ran %d specs, want none", w.Claims(), w.Runs())
+	}
+	if st := q.Stats(); st.Pending != 1 || st.Leased != 0 {
+		t.Fatalf("queue after drain: %+v, want the spec pending and unleased", st)
+	}
+
+	successor := NewPullWorker(addr, "successor", experiment.LocalBackend{}, nil, 1, 1)
+	runWorker(t, successor)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if got, want := <-resc, serialResult(t, simSpec(0)); !bytes.Equal(got.Encode(), want.Encode()) {
+		t.Fatal("spec left by the drained worker resolved differently from serial")
+	}
+}
+
 // workerFaultStub drives PullWorker's fault hooks from plain counters —
 // the unit-test stand-in for chaos.FleetFaults.
 type workerFaultStub struct {
@@ -454,6 +513,61 @@ func TestClaimSchemaMismatch(t *testing.T) {
 	}
 	if hits.Load() != 1 {
 		t.Fatalf("worker retried a fatal 409 (%d requests)", hits.Load())
+	}
+}
+
+// TestPullWorkerRefusesForeignSchemaLease: a lease granted under
+// another schema generation is never computed — the worker hands the
+// whole batch back and stops with the rebuild-one-side error instead of
+// answering with incompatible bytes.
+func TestPullWorkerRefusesForeignSchemaLease(t *testing.T) {
+	var claims, others atomic.Int64
+	nacks := make(chan NackRequest, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/queue/claim":
+			claims.Add(1)
+			_ = json.NewEncoder(w).Encode(ClaimResponse{
+				Schema: "xorbp-run/epoch0/ancient", Lease: 7, LeaseMS: 10_000,
+				Specs: []wire.Spec{simSpec(0)},
+			})
+		case "/queue/nack":
+			var req NackRequest
+			_ = json.NewDecoder(r.Body).Decode(&req)
+			select {
+			case nacks <- req:
+			default:
+			}
+			_ = json.NewEncoder(w).Encode(OK{OK: true})
+		default:
+			others.Add(1)
+			w.WriteHeader(http.StatusNotFound)
+		}
+	}))
+	t.Cleanup(ts.Close)
+
+	w := NewPullWorker(strings.TrimPrefix(ts.URL, "http://"), "w9", experiment.LocalBackend{}, nil, 1, 1)
+	w.SetSleep(func(ctx context.Context, _ time.Duration) error { return ctx.Err() })
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err := w.Run(ctx)
+	if err == nil || !strings.Contains(err.Error(), "rebuild one side") {
+		t.Fatalf("worker returned %v, want the rebuild-one-side error", err)
+	}
+	if w.Runs() != 0 || w.Claims() != 0 || others.Load() != 0 {
+		t.Fatalf("worker ran %d specs, counted %d batches and sent %d other requests under a foreign schema",
+			w.Runs(), w.Claims(), others.Load())
+	}
+	if claims.Load() != 1 {
+		t.Fatalf("worker claimed %d times, want once", claims.Load())
+	}
+	select {
+	case req := <-nacks:
+		if req.Lease != 7 || len(req.Keys) != 0 {
+			t.Fatalf("nack = %+v, want the whole of lease 7", req)
+		}
+	default:
+		t.Fatal("worker kept the foreign-schema batch instead of nacking it")
 	}
 }
 

@@ -90,9 +90,9 @@ const idleWait = 200 * time.Millisecond
 const maxQueueBody = 1 << 20
 
 // Leader serves a Queue over HTTP — the endpoint bpserve -pull workers
-// poll. It shares bpserve's trust model: an optional bearer token
-// (constant-time compared) authenticates peers, and the driver can
-// wrap the listener in TLS for untrusted networks.
+// poll. An optional bearer token (constant-time compared)
+// authenticates peers, and the driver can wrap the listener in TLS for
+// untrusted networks.
 type Leader struct {
 	q     *Queue
 	token string
@@ -106,9 +106,6 @@ type Leader struct {
 func NewLeader(q *Queue, token string) *Leader {
 	return &Leader{q: q, token: token}
 }
-
-// Queue returns the wrapped queue.
-func (l *Leader) Queue() *Queue { return l.q }
 
 // Backend returns the executor-facing half: an experiment.Backend
 // whose Run submits the spec to the queue and blocks until a worker
@@ -150,7 +147,6 @@ func (l *Leader) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, wire.Health{
 		Status:   "ok",
 		Schema:   wire.SchemaVersion(),
-		Capacity: 0, // the leader simulates nothing itself
 		Inflight: st.Leased,
 		Runs:     uint64(st.Done),
 	})
@@ -267,7 +263,7 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 }
 
 // Backend is the executor-facing half of the pull queue: a drop-in
-// experiment.Backend (beside LocalBackend and wire.Client) whose Run
+// experiment.Backend (beside LocalBackend) whose Run
 // enqueues the spec and blocks until some worker claims and resolves
 // it. Fan-out comes from the executor running many Runs concurrently;
 // scheduling comes from workers pulling at their own pace.
@@ -289,6 +285,5 @@ func (b *Backend) Run(ctx context.Context, spec wire.Spec) (wire.Result, error) 
 }
 
 // Replays counts dispatched runs the fleet answered from worker-side
-// stores instead of simulating (the pull-mode analog of
-// wire.Client.Replays).
+// stores instead of simulating.
 func (b *Backend) Replays() uint64 { return b.replays.Load() }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -52,6 +53,10 @@ type PullWorker struct {
 	id     string // stable worker identity for lease bookkeeping
 	token  string
 	hc     *http.Client
+	// own is the worker's private transport, made on first use by
+	// SetTLS or Transport; until then requests use
+	// http.DefaultTransport.
+	own *http.Transport
 
 	backend experiment.Backend
 	store   *runcache.Store // may be nil (no replay / write-through)
@@ -141,10 +146,44 @@ func (w *PullWorker) SetSleep(sleep func(ctx context.Context, d time.Duration) e
 
 // SetTLS switches the worker to HTTPS with the fleet CA pinned — only
 // a leader presenting a chain to ca is trusted with this worker's
-// labor and results.
+// labor and results. The pin lives on Transport, so it also holds
+// under a SetTransport wrapper, whichever is called first.
 func (w *PullWorker) SetTLS(ca *x509.CertPool) {
 	w.scheme = "https"
-	w.hc.Transport = &http.Transport{TLSClientConfig: &tls.Config{RootCAs: ca}}
+	w.Transport().TLSClientConfig = &tls.Config{RootCAs: ca}
+}
+
+// Transport returns the worker's own HTTP transport: the one SetTLS
+// pins, and the one a SetTransport wrapper should forward to.
+// Configure it before Run.
+func (w *PullWorker) Transport() *http.Transport {
+	if w.own == nil {
+		w.own = http.DefaultTransport.(*http.Transport).Clone()
+		if w.hc.Transport == nil {
+			w.hc.Transport = w.own
+		}
+	}
+	return w.own
+}
+
+// SetTransport routes every leader request through rt — the seam the
+// chaos layer's fault-injecting RoundTripper plugs into. rt should
+// forward to Transport() so SetTLS pinning still applies. Call before
+// Run.
+func (w *PullWorker) SetTransport(rt http.RoundTripper) { w.hc.Transport = rt }
+
+// LoadCertPool reads a PEM bundle (bpserve -tls-ca) into a certificate
+// pool for SetTLS.
+func LoadCertPool(path string) (*x509.CertPool, error) {
+	pem, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: reading CA bundle: %w", err)
+	}
+	pool := x509.NewCertPool()
+	if !pool.AppendCertsFromPEM(pem) {
+		return nil, fmt.Errorf("fleet: %s contains no usable CA certificates", path)
+	}
+	return pool, nil
 }
 
 // SetFaults arms the chaos layer's worker-lifecycle faults (tests and

@@ -2,17 +2,17 @@ package secsweep_test
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"xorbp/internal/attack"
 	"xorbp/internal/experiment"
+	"xorbp/internal/fleet"
 	"xorbp/internal/runcache"
 	"xorbp/internal/secsweep"
-	"xorbp/internal/serve"
 	"xorbp/internal/wire"
-
-	"net/http/httptest"
 )
 
 // testConfig is a miniature sweep: structurally complete, seconds-fast.
@@ -57,26 +57,31 @@ func TestSerialEqualsParallel(t *testing.T) {
 	}
 }
 
-// TestDistributedMatchesSerial: the same sweep through a live bpserve
-// worker (full wire round-trip for every attack job) renders the same
-// bytes.
+// TestDistributedMatchesSerial: the same sweep through a loopback pull
+// leader and worker (full queue-protocol round-trip for every attack
+// job) renders the same bytes.
 func TestDistributedMatchesSerial(t *testing.T) {
 	serial := renderAll(t, experiment.NewExecutor(1))
 
-	srv := serve.New(4, nil)
-	ts := httptest.NewServer(srv.Handler())
+	leader := fleet.NewLeader(fleet.NewQueue(0, time.Now), "")
+	ts := httptest.NewServer(leader.Handler())
 	defer ts.Close()
-	client := wire.NewClient([]string{strings.TrimPrefix(ts.URL, "http://")})
-	if err := client.Probe(t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	exec := experiment.NewExecutorWith(client.Workers(), client)
+	w := fleet.NewPullWorker(strings.TrimPrefix(ts.URL, "http://"), "w0",
+		experiment.LocalBackend{}, nil, 0, 4)
+	done := make(chan error, 1)
+	go func() { done <- w.Run(t.Context()) }()
+
+	exec := experiment.NewExecutorWith(8, leader.Backend())
 	remote := renderAll(t, exec)
+	w.Drain()
+	if err := <-done; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
 	if serial != remote {
 		t.Fatalf("distributed sweep differs from serial:\n--- serial ---\n%s\n--- remote ---\n%s",
 			serial, remote)
 	}
-	if srv.Runs() == 0 {
+	if w.Runs() == 0 {
 		t.Fatal("no attack jobs reached the worker")
 	}
 }

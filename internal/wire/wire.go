@@ -1,10 +1,10 @@
 // Package wire defines the versioned wire schema of the experiment
 // engine: the canonical, exported JSON forms of a simulation spec and
 // its result. It is the contract shared by every execution backend —
-// the in-process pool, the bpserve work-server protocol, and the
+// the in-process pool, the pull fleet's queue protocol, and the
 // persistent run cache, whose keys are derived from the canonical spec
 // encoding. One schema everywhere means a result computed by any
-// process (local worker, remote daemon, earlier invocation) is
+// process (local worker, fleet worker, earlier invocation) is
 // interchangeable with every other.
 //
 // The encoding is deterministic by construction: fixed struct field
@@ -694,64 +694,21 @@ func appendFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// RunRequest is the body of POST /run on a bpserve worker.
-type RunRequest struct {
-	// Schema is the client's SchemaVersion; the worker rejects a
-	// mismatch with 409 rather than computing an incompatible result.
-	Schema string `json:"schema"`
-	Spec   Spec   `json:"spec"`
-}
-
-// RunResponse is the successful reply to POST /run.
-type RunResponse struct {
-	Schema string `json:"schema"`
-	Result Result `json:"result"`
-	// Cached reports that the worker served the result from its shared
-	// store instead of simulating.
-	Cached bool `json:"cached"`
-	// DurationMS is the worker-side simulation time (0 when Cached).
-	DurationMS float64 `json:"duration_ms"`
-}
-
-// Health is the body of GET /healthz on a bpserve worker.
+// Health is the body of GET /healthz on a pull-fleet leader.
 type Health struct {
-	// Status is "ok", or "draining" once shutdown has begun.
+	// Status is "ok" while the leader serves its queue.
 	Status string `json:"status"`
-	// Schema is the worker's SchemaVersion, checked by clients at probe
-	// time.
+	// Schema is the leader's SchemaVersion; a worker on another schema
+	// must not claim from it.
 	Schema string `json:"schema"`
-	// Capacity is the worker's concurrency limit; clients size their
-	// fan-out to the sum of their workers' capacities.
-	Capacity int    `json:"capacity"`
+	// Inflight counts specs leased to workers right now; Runs counts
+	// specs the queue has resolved.
 	Inflight int    `json:"inflight"`
 	Runs     uint64 `json:"runs"`
-	Replays  uint64 `json:"replays"`
 }
 
-// Statz is the body of GET /statz on a bpserve worker: the live load
-// and cache counters routing scorers decide on (internal/fleet). It is
-// telemetry, not schema — adding fields never invalidates caches.
-type Statz struct {
-	// Capacity is the worker's concurrency limit (as in Health).
-	Capacity int `json:"capacity"`
-	// Inflight counts simulations holding a slot right now.
-	Inflight int `json:"inflight"`
-	// Queued counts accepted requests waiting for a simulation slot —
-	// the backlog a least-loaded scorer steers around.
-	Queued int `json:"queued"`
-	// Runs and Replays mirror Health: simulations executed vs answered
-	// from the worker's store.
-	Runs    uint64 `json:"runs"`
-	Replays uint64 `json:"replays"`
-	// CacheHits/CacheMisses are the worker store's Get counters; an
-	// affinity router sending specs to the right worker drives the hit
-	// rate up.
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
-}
-
-// Error is the JSON error body returned by a worker for non-2xx
-// statuses.
+// Error is the JSON error body the pull-fleet leader returns with
+// non-2xx statuses.
 type Error struct {
 	Error string `json:"error"`
 }
