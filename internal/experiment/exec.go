@@ -29,9 +29,10 @@ type runKey struct {
 	kind string
 	// opts holds the spec's options with the Codec and Scrambler
 	// interface fields blanked; their identities live in codec/scrambler
-	// below. Keying the interfaces by dynamic type name keeps runKey
-	// usable as a map key even if a future Codec carries un-comparable
-	// state (every current implementation is a stateless struct).
+	// below. Keying the interfaces by registered name (the wire form's
+	// identity too) keeps runKey usable as a map key even if a future
+	// Codec carries un-comparable state (every current implementation
+	// is a stateless struct).
 	opts      core.Options
 	codec     string
 	scrambler string
@@ -57,8 +58,8 @@ func specKey(s runSpec) runKey {
 	k := runKey{
 		kind:      s.kind,
 		opts:      o,
-		codec:     fmt.Sprintf("%T", o.Codec),
-		scrambler: fmt.Sprintf("%T", o.Scrambler),
+		codec:     o.Codec.Name(),     //bpvet:allow Codec.Name implementations are compile-time string literals; the registry round-trip test pins them
+		scrambler: o.Scrambler.Name(), //bpvet:allow Scrambler.Name implementations are compile-time string literals; the registry round-trip test pins them
 		predName:  s.predName,
 		cfg:       s.cfg,
 		timer:     s.timer,
@@ -121,27 +122,15 @@ type Executor struct {
 	// err is sticky: the first backend failure poisons the executor, and
 	// later batches short-circuit instead of piling more failures on a
 	// dead fleet.
-	err   error
-	cache map[runKey]RunResult
-	// inflight marks specs claimed by a running batch; a concurrent batch
-	// needing the same spec waits on the channel instead of simulating it
-	// a second time.
-	inflight map[runKey]chan struct{}
-	// planned holds every distinct spec declared (via Plan) or seen by a
-	// batch, mapped to its wire key when known ("" otherwise); progress
-	// lines and the ETA are computed against it, so a pre-planned session
-	// reports x/total over the whole grid rather than per batch.
-	planned map[runKey]string
-	// warm holds planned specs that were resident in the persistent
-	// store at Plan time and are not yet resolved: they will replay, not
-	// simulate, so the ETA excludes them from its backlog. Keys are
-	// deleted as their cells resolve — however they resolve, so a store
-	// entry vanishing between Plan and RunBatch (concurrent GC,
-	// corruption) cannot skew the count.
-	warm map[runKey]bool
-	// skipped holds the distinct specs this executor declined under its
-	// shard assignment.
-	skipped map[runKey]struct{}
+	err error
+	// cells holds every distinct spec declared (via Plan) or seen by a
+	// batch. Progress lines and the ETA are computed against it, so a
+	// pre-planned session reports x/total over the whole grid rather
+	// than per batch.
+	cells map[runKey]*cell
+	// done, skipped and warm count the cells resolved, the cells
+	// declined under the shard assignment, and the cells marked warm.
+	done, skipped, warm int
 	// replays counts persistent-store replays published by this executor.
 	replays int
 	// simStart/simsDone drive the ETA estimate: observed simulation
@@ -150,6 +139,76 @@ type Executor struct {
 	simsDone int
 
 	runs atomic.Uint64 // simulations executed (cache misses)
+	// batches stamps each live batch's candidates (cell.batch).
+	batches atomic.Uint64
+}
+
+// cellState is where one distinct spec stands in an executor.
+type cellState uint8
+
+const (
+	// cellPending: declared or seen, not resolved. A released claim
+	// (backend failure) returns here.
+	cellPending cellState = iota
+	// cellInflight: claimed by a running batch; a concurrent batch
+	// needing the spec waits on the cell's channel instead of
+	// simulating it a second time.
+	cellInflight
+	// cellDone: resolved by simulation or replay; res holds the result.
+	cellDone
+	// cellSkipped: declined under the shard assignment; res stays zero.
+	cellSkipped
+)
+
+// cell is an executor's whole record of one distinct spec. Every field
+// is guarded by the executor's mu.
+type cell struct {
+	// dk is the wire key when known: Plan and planners record it, while
+	// a spec first seen by a live batch keeps "" here.
+	dk    string
+	res   RunResult
+	state cellState
+	// warm marks a cell found in the persistent store at Plan time and
+	// not yet resolved: it will replay, not simulate, so the ETA leaves
+	// it out of the backlog. It clears however the cell resolves, so a
+	// store entry vanishing between Plan and RunBatch (concurrent GC,
+	// corruption) cannot skew the count.
+	warm bool
+	// wait is closed when an in-flight claim resolves or is released.
+	wait chan struct{}
+	// batch is the stamp of the last batch that took the cell as a
+	// candidate, so a spec repeated within one batch is claimed once.
+	batch uint64
+}
+
+// cellLocked returns k's cell, creating a pending one. Called with e.mu
+// held.
+func (e *Executor) cellLocked(k *runKey) *cell {
+	c := e.cells[*k]
+	if c == nil {
+		c = &cell{}
+		e.cells[*k] = c
+	}
+	return c
+}
+
+// finishLocked resolves c as done (with result r) or skipped, releasing
+// its waiters and its warm mark. Called with e.mu held.
+func (e *Executor) finishLocked(c *cell, st cellState, r RunResult) {
+	c.state, c.res = st, r
+	if st == cellDone {
+		e.done++
+	} else {
+		e.skipped++
+	}
+	if c.warm {
+		c.warm = false
+		e.warm--
+	}
+	if c.wait != nil {
+		close(c.wait)
+		c.wait = nil
+	}
 }
 
 // RunRecord describes one resolved spec: an executed simulation, or a
@@ -202,15 +261,11 @@ func NewExecutorWith(workers int, backend Backend) *Executor {
 		backend = LocalBackend{}
 	}
 	return &Executor{
-		workers:  workers,
-		backend:  backend,
-		sem:      make(chan struct{}, workers),
-		cache:    make(map[runKey]RunResult),
-		inflight: make(map[runKey]chan struct{}),
-		planned:  make(map[runKey]string),
-		warm:     make(map[runKey]bool),
-		skipped:  make(map[runKey]struct{}),
-		snaps:    NewSnapStore(nil),
+		workers: workers,
+		backend: backend,
+		sem:     make(chan struct{}, workers),
+		cells:   make(map[runKey]*cell),
+		snaps:   NewSnapStore(nil),
 	}
 }
 
@@ -285,10 +340,10 @@ func (e *Executor) Primed() int { return len(e.primed) }
 // planning have none yet), sorted for deterministic journaling.
 func (e *Executor) PlannedKeys() []string {
 	e.mu.Lock()
-	keys := make([]string, 0, len(e.planned))
-	for _, dk := range e.planned {
-		if dk != "" {
-			keys = append(keys, dk)
+	keys := make([]string, 0, len(e.cells))
+	for _, c := range e.cells {
+		if c.dk != "" {
+			keys = append(keys, c.dk)
 		}
 	}
 	e.mu.Unlock()
@@ -299,6 +354,7 @@ func (e *Executor) PlannedKeys() []string {
 // SetRecord installs a hook receiving one RunRecord per resolved spec —
 // each executed simulation and each persistent-store replay.
 // Invocations are serialized; install before the first batch runs.
+// Without a hook no RunRecord is built.
 func (e *Executor) SetRecord(fn func(RunRecord)) { e.record = fn }
 
 // SetShard restricts the executor to shard i of n (0-based): specs whose
@@ -353,47 +409,49 @@ func (e *Executor) Err() error {
 // reflects the handful of new cells, not the whole grid.
 func (e *Executor) Plan(planner *Executor) int {
 	type pk struct {
-		k  runKey
-		dk string
+		k    runKey
+		dk   string
+		warm bool
 	}
 	planner.mu.Lock()
-	pks := make([]pk, 0, len(planner.planned))
-	for k, dk := range planner.planned {
-		pks = append(pks, pk{k, dk})
+	pks := make([]pk, 0, len(planner.cells))
+	for k, c := range planner.cells {
+		pks = append(pks, pk{k: k, dk: c.dk})
 	}
 	planner.mu.Unlock()
 	// Probe the store outside e.mu: Contains is memory-speed, but the
 	// grid can be large and the store has its own lock.
-	var warm []runKey
 	if e.store != nil {
-		for _, p := range pks {
-			if p.dk != "" && e.store.Contains(p.dk) {
-				warm = append(warm, p.k)
-			}
+		for i := range pks {
+			pks[i].warm = pks[i].dk != "" && e.store.Contains(pks[i].dk)
 		}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, p := range pks {
-		if cur, ok := e.planned[p.k]; !ok || cur == "" {
-			e.planned[p.k] = p.dk
-		}
+	if len(e.cells) == 0 {
+		e.cells = make(map[runKey]*cell, len(pks)) // one allocation, no regrowth
 	}
-	for _, k := range warm {
+	for i := range pks {
+		p := &pks[i]
+		c := e.cellLocked(&p.k)
+		if c.dk == "" {
+			c.dk = p.dk
+		}
 		// A cell resolved before Plan was called is already out of the
 		// backlog; marking it warm now would undercount forever.
-		if _, done := e.cache[k]; !done {
-			e.warm[k] = true
+		if p.warm && !c.warm && (c.state == cellPending || c.state == cellInflight) {
+			c.warm = true
+			e.warm++
 		}
 	}
-	return len(e.planned)
+	return len(e.cells)
 }
 
 // Planned returns the number of distinct specs declared or seen so far.
 func (e *Executor) Planned() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.planned)
+	return len(e.cells)
 }
 
 // Done returns the number of distinct specs resolved so far.
@@ -416,14 +474,14 @@ func (e *Executor) Replays() int {
 func (e *Executor) Skipped() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.skipped)
+	return e.skipped
 }
 
 // CacheSize returns the number of distinct specs resolved so far.
 func (e *Executor) CacheSize() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.cache)
+	return e.done
 }
 
 // RunBatch resolves a batch of specs and returns their results in spec
@@ -439,65 +497,62 @@ func (e *Executor) CacheSize() int {
 // their results stay zero; after a backend failure the executor is
 // poisoned (Err) and further batches return zero results immediately.
 func (e *Executor) RunBatch(specs []runSpec) []RunResult {
-	keys := make([]runKey, len(specs))
-	for i, s := range specs {
-		keys[i] = specKey(s)
-	}
+	out := make([]RunResult, len(specs))
 	if e.dry {
 		// Planning: record the grid with its wire keys (the hash lets
 		// Plan probe the store and shard assignments stay computable).
-		e.mu.Lock()
-		for i, k := range keys {
-			if _, ok := e.planned[k]; !ok {
-				e.planned[k] = specToWire(specs[i]).Key()
+		for i := range specs {
+			k := specKey(specs[i])
+			e.mu.Lock()
+			if c := e.cellLocked(&k); c.dk == "" {
+				c.dk = specToWire(specs[i]).Key()
 			}
+			e.mu.Unlock()
 		}
-		e.mu.Unlock()
-		return make([]RunResult, len(specs))
+		return out
 	}
 	if e.Err() != nil {
-		return make([]RunResult, len(specs))
+		return out
 	}
 
-	// Plan, phase 1: collect the distinct memo-cache misses.
+	// Plan, phase 1: find each spec's cell (the batch's one hash of its
+	// key) and collect the distinct unresolved ones, stamped so a spec
+	// repeated within the batch is taken once.
 	type candidate struct {
 		i  int
-		k  runKey
-		w  wire.Spec
+		c  *cell
 		dk string // persistent-store key hash: planned, or computed off-lock below
 		r  RunResult
 		ok bool // r was replayed from the store
 	}
 	var cands []candidate
-	seen := make(map[runKey]bool)
-	e.mu.Lock()
-	for i, k := range keys {
-		dk, ok := e.planned[k]
-		if !ok {
-			e.planned[k] = ""
+	cells := make([]*cell, len(specs))
+	stamp := e.batches.Add(1)
+	for i := range specs {
+		k := specKey(specs[i])
+		e.mu.Lock()
+		c := e.cellLocked(&k)
+		cells[i] = c
+		if (c.state == cellPending || c.state == cellInflight) && c.batch != stamp {
+			c.batch = stamp
+			cands = append(cands, candidate{i: i, c: c, dk: c.dk})
 		}
-		if _, hit := e.cache[k]; hit || seen[k] {
-			continue
-		}
-		seen[k] = true
-		cands = append(cands, candidate{i: i, k: k, dk: dk})
+		e.mu.Unlock()
 	}
-	e.mu.Unlock()
 
-	// Plan, phase 2: render each candidate's wire form (the backend
-	// contract), hash it where needed and not already planned (the hash
-	// names the run in records, keys the store, and assigns shards) and
-	// consult the persistent store — all outside e.mu, so neither the
-	// marshal+SHA-256 nor the store's own lock extends the executor's
-	// critical section.
+	// Plan, phase 2: hash each candidate's wire form where needed and
+	// not already planned (the hash names the run in records, keys the
+	// store, and assigns shards) and consult the persistent store — all
+	// outside e.mu, so neither the marshal+SHA-256 nor the store's own
+	// lock extends the executor's critical section.
 	hashKeys := e.store != nil || e.record != nil || e.shardN > 1 ||
 		e.journal != nil || len(e.primed) > 0
-	for c := range cands {
-		cands[c].w = specToWire(specs[cands[c].i])
-		if hashKeys && cands[c].dk == "" {
-			cands[c].dk = cands[c].w.Key()
+	for j := range cands {
+		c := &cands[j]
+		if hashKeys && c.dk == "" {
+			c.dk = specToWire(specs[c.i]).Key()
 		}
-		cands[c].r, cands[c].ok = e.decodeStored(cands[c].dk)
+		c.r, c.ok = e.decodeStored(c.dk)
 	}
 
 	// Plan, phase 3: publish the replays, skip cells owned by other
@@ -505,54 +560,49 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 	// ahead between the phases. Misses already claimed by a
 	// concurrently-running batch are not simulated again; we wait for
 	// their channels before assembling.
-	type replayed struct {
-		rec RunRecord
-		r   RunResult
-	}
 	var (
 		missSpecs []runSpec
-		missKeys  []runKey
+		missCells []*cell
 		missDKs   []string
-		missWire  []wire.Spec
 		waits     []chan struct{}
-		replays   []replayed
+		replays   []candidate
 	)
 	e.mu.Lock()
 	for _, c := range cands {
-		if _, hit := e.cache[c.k]; hit {
+		switch c.c.state {
+		case cellDone, cellSkipped:
 			continue // a concurrent batch resolved it meanwhile
-		}
-		if ch, busy := e.inflight[c.k]; busy {
-			waits = append(waits, ch)
+		case cellInflight:
+			waits = append(waits, c.c.wait)
 			continue
 		}
 		if c.ok {
-			e.cache[c.k] = c.r
+			e.finishLocked(c.c, cellDone, c.r)
 			e.replays++
-			delete(e.warm, c.k)
-			replays = append(replays, replayed{recordFor(specs[c.i], c.dk, c.r, 0, true), c.r})
+			replays = append(replays, c)
 			continue
 		}
 		if e.shardN > 1 && shardOf(c.dk, e.shardN) != e.shardI {
-			e.skipped[c.k] = struct{}{}
-			delete(e.warm, c.k)
+			e.finishLocked(c.c, cellSkipped, RunResult{})
 			continue
 		}
-		e.inflight[c.k] = make(chan struct{})
+		c.c.state, c.c.wait = cellInflight, make(chan struct{})
 		missSpecs = append(missSpecs, specs[c.i])
-		missKeys = append(missKeys, c.k)
+		missCells = append(missCells, c.c)
 		missDKs = append(missDKs, c.dk)
-		missWire = append(missWire, c.w)
 	}
 	e.mu.Unlock()
 	for _, rep := range replays {
 		// Journal replays too (the sink dedups): a resumed or warm sweep
 		// leaves a journal complete enough to resume from on its own,
 		// whatever mix of cache, journal and simulation resolved it.
-		if e.journal != nil {
-			e.journal.Completed(rep.rec.Key, rep.r)
-		}
-		e.emit(rep.rec)
+		e.journalDone(rep.dk, rep.r)
+		e.emit(specs[rep.i], rep.dk, rep.r, 0, true)
+	}
+	// Render each claimed miss's wire form: the backend contract.
+	missWire := make([]wire.Spec, len(missSpecs))
+	for i := range missSpecs {
+		missWire[i] = specToWire(missSpecs[i])
 	}
 
 	// Execute: fan the misses out across the backend as units. With the
@@ -590,12 +640,12 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 			prior    []uint64 // divergence cycles deposited by earlier members
 		)
 		for _, i := range units[u].idxs {
-			k := missKeys[i]
+			c := missCells[i]
 			if e.Err() != nil {
 				// The fleet is already failing: release the claim so
 				// waiters unblock, without piling on more doomed
 				// dispatches.
-				e.release(k)
+				e.release(c)
 				continue
 			}
 			e.sem <- struct{}{} // a slot is held only while simulating
@@ -622,10 +672,10 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 			<-e.sem
 			if err != nil {
 				e.fail(fmt.Errorf("experiment: %s: %w", specLabel(missSpecs[i]), err))
-				e.release(k)
+				e.release(c)
 				continue
 			}
-			e.publish(missSpecs[i], k, missDKs[i], r, start)
+			e.publish(missSpecs[i], c, missDKs[i], r, start)
 		}
 		return struct{}{}
 	})
@@ -636,18 +686,17 @@ func (e *Executor) RunBatch(specs []runSpec) []RunResult {
 		<-ch
 	}
 	e.mu.Lock()
-	out := make([]RunResult, len(specs))
-	for i, k := range keys {
-		out[i] = e.cache[k]
+	for i, c := range cells {
+		out[i] = c.res
 	}
 	e.mu.Unlock()
 	return out
 }
 
-// publish records one completed simulation: memo cache, in-flight claim
-// release, progress line, persistent store write-through, and the record
-// hook.
-func (e *Executor) publish(s runSpec, k runKey, dk string, r RunResult, start time.Time) {
+// publish records one completed simulation: the cell's result and
+// in-flight claim release, progress line, persistent store
+// write-through, journal, and the record hook.
+func (e *Executor) publish(s runSpec, c *cell, dk string, r RunResult, start time.Time) {
 	dur := time.Since(start) //bpvet:allow progress/ETA telemetry; durations never reach results or keys
 	e.runs.Add(1)
 	// pmu is taken before e.mu (the only ordering used anywhere), so
@@ -658,12 +707,9 @@ func (e *Executor) publish(s runSpec, k runKey, dk string, r RunResult, start ti
 		e.pmu.Lock()
 	}
 	e.mu.Lock()
-	e.cache[k] = r
-	close(e.inflight[k])
-	delete(e.inflight, k)
-	delete(e.warm, k)
+	e.finishLocked(c, cellDone, r)
 	e.simsDone++
-	done, planned := len(e.cache)+len(e.skipped), len(e.planned)
+	done, planned := e.done+e.skipped, len(e.cells)
 	eta := e.etaLocked()
 	e.mu.Unlock()
 	if e.progress != nil {
@@ -677,7 +723,7 @@ func (e *Executor) publish(s runSpec, k runKey, dk string, r RunResult, start ti
 		e.storePut(dk, r)
 	}
 	e.journalDone(dk, r)
-	e.emit(recordFor(s, dk, r, float64(dur)/float64(time.Millisecond), false))
+	e.emit(s, dk, r, float64(dur)/float64(time.Millisecond), false)
 }
 
 // journalDone forwards one completion to the journal sink, if any.
@@ -699,12 +745,12 @@ func (e *Executor) fail(err error) {
 
 // release abandons an in-flight claim without publishing a result, so
 // concurrent batches waiting on it unblock (to a zero result) instead
-// of deadlocking.
-func (e *Executor) release(k runKey) {
+// of deadlocking. The cell returns to pending.
+func (e *Executor) release(c *cell) {
 	e.mu.Lock()
-	if ch, ok := e.inflight[k]; ok {
-		close(ch)
-		delete(e.inflight, k)
+	if c.state == cellInflight {
+		close(c.wait)
+		c.state, c.wait = cellPending, nil
 	}
 	e.mu.Unlock()
 }
@@ -744,11 +790,13 @@ func (e *Executor) storePut(dk string, r RunResult) {
 	_ = e.store.Put(dk, r.Encode())
 }
 
-// emit delivers one RunRecord to the hook, serialized.
-func (e *Executor) emit(rec RunRecord) {
+// emit delivers the RunRecord of one resolved spec to the hook,
+// serialized. Without a hook it builds nothing.
+func (e *Executor) emit(s runSpec, dk string, r RunResult, durMS float64, cached bool) {
 	if e.record == nil {
 		return
 	}
+	rec := recordFor(s, dk, r, durMS, cached)
 	e.rmu.Lock()
 	e.record(rec) //bpvet:locked(e.rmu) rmu exists to serialize this hook call; the hook is caller-owned and documented to be brief and non-reentrant
 	e.rmu.Unlock()
@@ -764,15 +812,21 @@ func (e *Executor) noteSimStart(t time.Time) {
 	e.mu.Unlock()
 }
 
-// etaLocked estimates the time to resolve the rest of the simulatable
-// backlog from the observed simulation throughput. The backlog excludes
-// cells already resolved, cells skipped by the shard assignment, and
-// planned cells known (at Plan time) to be store-resident — a warm run
-// that only adds a few new cells gets an ETA for those cells, not a
-// bogus estimate over the whole grid. Called with e.mu held; returns ""
-// until there is both a backlog and a throughput sample.
+// backlogLocked counts the cells still to simulate: every cell except
+// those resolved, those skipped by the shard assignment, and planned
+// cells known (at Plan time) to be store-resident. Called with e.mu
+// held.
+func (e *Executor) backlogLocked() int {
+	return len(e.cells) - e.done - e.skipped - e.warm
+}
+
+// etaLocked estimates the time to resolve the backlog from the observed
+// simulation throughput: a warm run that only adds a few new cells gets
+// an ETA for those cells, not a bogus estimate over the whole grid.
+// Called with e.mu held; returns "" until there is both a backlog and a
+// throughput sample.
 func (e *Executor) etaLocked() string {
-	remaining := len(e.planned) - len(e.cache) - len(e.skipped) - len(e.warm)
+	remaining := e.backlogLocked()
 	if remaining <= 0 || e.simsDone == 0 || e.simStart.IsZero() {
 		return ""
 	}

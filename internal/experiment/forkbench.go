@@ -21,6 +21,8 @@ type ForkBench struct {
 	BaseCycles uint64 `json:"base_cycles"`
 	// SingleMs is one cold run's wall time; StraightMs covers all eight
 	// cells cold; ForkedMs covers the same eight through the fork chain.
+	// Each of the two is the fastest of forkBenchRounds interleaved
+	// rounds.
 	SingleMs   float64 `json:"single_ms"`
 	StraightMs float64 `json:"straight_ms"`
 	ForkedMs   float64 `json:"forked_ms"`
@@ -44,9 +46,17 @@ type ForkBench struct {
 // anywhere near the 8x cost of straight re-simulation.
 const MaxForkRatio = 2.5
 
+// forkBenchRounds is how many straight/forked rounds MeasureForkBench
+// interleaves. Each side reports its fastest round, so load on a shared
+// machine skews the ratio only if it hits every round of one side.
+const forkBenchRounds = 3
+
 // MeasureForkBench times the fork-vs-straight comparison at the given
 // scale. Both sides run serially on the calling goroutine, so the ratio
-// is hardware-neutral the same way the engine speedups are.
+// is hardware-neutral the same way the engine speedups are. The sides
+// alternate which goes first from round to round, and every forked
+// round starts from an empty snapshot store, so the rounds repeat the
+// same work.
 func MeasureForkBench(scale Scale) ForkBench {
 	mk := func(period uint64) runSpec {
 		s := singleSpec(rekeyOpts(period), workload.SingleCorePairs()[0], 300_000)
@@ -71,23 +81,47 @@ func MeasureForkBench(scale Scale) ForkBench {
 		periods[i] = base * uint64(80+2*i) / 100
 	}
 
-	straight := make([]RunResult, len(periods))
-	start = time.Now() //bpvet:allow wall-clock benchmark harness; durations never reach results or keys
-	for i, p := range periods {
-		straight[i] = run(mk(p))
-	}
-	straightMs := ms(time.Since(start)) //bpvet:allow wall-clock benchmark harness; durations never reach results or keys
-
-	snaps := NewSnapStore(nil)
-	forked := make([]RunResult, len(periods))
-	var prior []uint64
 	prefixDK := specToWire(prefixSpec(mk(periods[0]))).Key()
-	start = time.Now() //bpvet:allow wall-clock benchmark harness; durations never reach results or keys
-	for i, p := range periods {
-		forked[i] = runForked(mk(p), prefixDK, prior, snaps)
-		prior = append(prior, p)
+	straightRound := func() ([]RunResult, float64) {
+		res := make([]RunResult, len(periods))
+		start := time.Now() //bpvet:allow wall-clock benchmark harness; durations never reach results or keys
+		for i, p := range periods {
+			res[i] = run(mk(p))
+		}
+		return res, ms(time.Since(start)) //bpvet:allow wall-clock benchmark harness; durations never reach results or keys
 	}
-	forkedMs := ms(time.Since(start)) //bpvet:allow wall-clock benchmark harness; durations never reach results or keys
+	forkedRound := func() ([]RunResult, float64) {
+		snaps := NewSnapStore(nil)
+		res := make([]RunResult, len(periods))
+		var prior []uint64
+		start := time.Now() //bpvet:allow wall-clock benchmark harness; durations never reach results or keys
+		for i, p := range periods {
+			res[i] = runForked(mk(p), prefixDK, prior, snaps)
+			prior = append(prior, p)
+		}
+		return res, ms(time.Since(start)) //bpvet:allow wall-clock benchmark harness; durations never reach results or keys
+	}
+
+	var straightMs, forkedMs float64
+	match := true
+	for round := 0; round < forkBenchRounds; round++ {
+		var straight, forked []RunResult
+		var sMs, fMs float64
+		if round%2 == 0 {
+			straight, sMs = straightRound()
+			forked, fMs = forkedRound()
+		} else {
+			forked, fMs = forkedRound()
+			straight, sMs = straightRound()
+		}
+		if round == 0 || sMs < straightMs {
+			straightMs = sMs
+		}
+		if round == 0 || fMs < forkedMs {
+			forkedMs = fMs
+		}
+		match = match && reflect.DeepEqual(forked, straight)
+	}
 
 	return ForkBench{
 		Periods:           periods,
@@ -97,7 +131,7 @@ func MeasureForkBench(scale Scale) ForkBench {
 		ForkedMs:          forkedMs,
 		RatioVsSingle:     forkedMs / (straightMs / float64(len(periods))),
 		SpeedupVsStraight: straightMs / forkedMs,
-		Match:             reflect.DeepEqual(forked, straight),
+		Match:             match,
 	}
 }
 

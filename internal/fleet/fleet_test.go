@@ -137,10 +137,12 @@ func TestPullMatchesSerial(t *testing.T) {
 }
 
 // blockBackend parks every Run until the worker's context dies —
-// the stand-in for a wedged or crashed worker process.
-type blockBackend struct{}
+// the stand-in for a wedged or crashed worker process. Each Run
+// announces itself on entered first.
+type blockBackend struct{ entered chan<- struct{} }
 
-func (blockBackend) Run(ctx context.Context, _ wire.Spec) (experiment.RunResult, error) {
+func (b blockBackend) Run(ctx context.Context, _ wire.Spec) (experiment.RunResult, error) {
+	b.entered <- struct{}{}
 	<-ctx.Done()
 	return wire.Result{}, ctx.Err()
 }
@@ -165,7 +167,8 @@ func TestPullWorkStealing(t *testing.T) {
 	// The doomed worker claims the whole batch and wedges. Its sleeper
 	// blocks forever, so it never heartbeats — exactly a hung process.
 	ctxA, killA := context.WithCancel(context.Background())
-	doomed := NewPullWorker(addr, "doomed", blockBackend{}, nil, n, n)
+	entered := make(chan struct{}, n)
+	doomed := NewPullWorker(addr, "doomed", blockBackend{entered}, nil, n, n)
 	doomed.SetSleep(func(ctx context.Context, _ time.Duration) error {
 		<-ctx.Done()
 		return ctx.Err()
@@ -173,12 +176,20 @@ func TestPullWorkStealing(t *testing.T) {
 	aDone := make(chan error, 1)
 	go func() { aDone <- doomed.Run(ctxA) }()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for q.Stats().Leased < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("doomed worker never claimed the batch: %+v", q.Stats())
+	// Kill it only once every spec is inside the wedged backend: a kill
+	// that lands while specs still wait for a slot makes the worker nack
+	// them as leftovers, and the successor would claim them instead of
+	// stealing the expired lease.
+	timeout := time.After(5 * time.Second)
+	for i := 0; i < n; i++ {
+		select {
+		case <-entered:
+		case <-timeout:
+			t.Fatalf("doomed worker started %d of %d specs: %+v", i, n, q.Stats())
 		}
-		time.Sleep(time.Millisecond)
+	}
+	if st := q.Stats(); st.Leased < n {
+		t.Fatalf("doomed worker runs specs it holds no lease for: %+v", st)
 	}
 
 	killA()

@@ -36,6 +36,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 )
 
 // Stats counts store traffic since Open.
@@ -244,6 +245,10 @@ func Open(dir, schema string) (*Store, error) {
 		keyer:   NewKeyer(schema),
 		entries: make(map[string][]byte, len(names)),
 	}
+	// Values are carved from shared slabs rather than allocated one per
+	// file: each file is read into the free tail of the current slab and
+	// kept there only if it parses.
+	var slab []byte
 	for _, de := range names {
 		name := de.Name()
 		// Skip in-progress writes from concurrent processes and anything
@@ -252,20 +257,64 @@ func Open(dir, schema string) (*Store, error) {
 		if de.IsDir() || !isEntry || strings.HasPrefix(name, ".") {
 			continue
 		}
-		path := filepath.Join(sub, name)
-		raw, err := os.ReadFile(path)
+		path := sub + string(filepath.Separator) + name
+		raw, err := readFile(path, &slab)
 		if err != nil {
-			continue // racing writer or permissions; neither is corruption
+			continue // racing writer or remover, or permissions; none is corruption
 		}
 		value, ok := parseEntry(raw, id, key)
 		if !ok {
 			s.quarantine(path)
 			continue
 		}
-		s.entries[key] = value
+		slab = slab[:len(slab)+len(raw)]
+		// Cap the value so an append by a caller cannot run into the
+		// next value in the slab.
+		s.entries[key] = value[:len(value):len(value)]
 		s.stats.Loaded++
 	}
 	return s, nil
+}
+
+// slabSize is the size of the slabs Open reads entry files into; a
+// result entry is about half a kilobyte.
+const slabSize = 64 << 10
+
+// readFile reads the file at path to EOF into the free tail of *slab
+// (past its length) and returns the bytes read. A file that outgrows
+// the free tail moves, with what was read of it, into a fresh slab,
+// which replaces *slab. One open, reads until a zero-length read, and
+// one close: no os.File, no poller registration and no stat.
+func readFile(path string, slab *[]byte) ([]byte, error) {
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	if err != nil {
+		return nil, err
+	}
+	b, n := *slab, 0 // the file's bytes are b[len(b):len(b)+n]
+	for {
+		if len(b)+n == cap(b) {
+			grown := make([]byte, 0, max(slabSize, 2*n))
+			grown = append(grown, b[len(b):len(b)+n]...)
+			b = grown[:0]
+			*slab = b
+		}
+		m, err := syscall.Read(fd, b[len(b)+n:cap(b)])
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil {
+			_ = syscall.Close(fd)
+			return nil, err
+		}
+		if m == 0 {
+			break
+		}
+		n += m
+	}
+	if err := syscall.Close(fd); err != nil {
+		return nil, err
+	}
+	return b[len(b) : len(b)+n], nil
 }
 
 // quarantine renames a corrupt entry aside so it is neither trusted nor
